@@ -24,6 +24,7 @@ from .curves import (
     canonical_degree,
     euler_characteristic,
     h0_h1,
+    h0_h1_bounds,
     h1_vanishes,
     serre_dual_degree,
 )
@@ -37,7 +38,7 @@ from .kuranishi import (
     homology_comparison_report,
     kirwan_vanishing_range,
     nonfiltrable_report,
-    tangent_dims_split,
+    shift_by_length,
     toy_domain_dim,
     toy_unstable_codim,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "ext_dims_QM",
     "ext_dims_QQ",
     "h0_h1",
+    "h0_h1_bounds",
     "h1_vanishes",
     "homology_comparison_report",
     "intersection",
@@ -135,9 +137,9 @@ __all__ = [
     "q_length",
     "select_twist",
     "serre_dual_degree",
+    "shift_by_length",
     "singular_locus_h0",
     "surface_topology",
-    "tangent_dims_split",
     "toy_domain_dim",
     "toy_unstable_codim",
     "twist",

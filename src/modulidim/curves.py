@@ -92,6 +92,23 @@ def h1_vanishes(bundle: CurveLineBundle) -> bool:
     return bundle.degree > canonical_degree(bundle.curve)
 
 
+def h0_h1_bounds(genus: int, degree: int) -> tuple[int, int, int, int]:
+    """``(h0 lower, h0 upper, h1 lower, h1 upper)`` of a bundle known only
+    by its genus and degree.
+
+    These are rules 1, 2 and 6 of :func:`h0_h1`, the whole cascade for a
+    ``GENERIC`` bundle, in plain integers; an exact value comes back as two
+    equal bounds. Ledgers built from generic bundles alone call this
+    directly and construct no bundle or :class:`Dim` objects.
+    """
+    chi = degree - genus + 1
+    if degree < 0:
+        return 0, 0, -chi, -chi
+    if degree > 2 * genus - 2:
+        return chi, chi, 0, 0
+    return max(0, chi), degree + 1, max(0, -chi), degree + 1 - chi
+
+
 def h0_h1(bundle: CurveLineBundle) -> tuple[Dim, Dim]:
     """Dimensions of the two cohomology groups of a line bundle.
 
@@ -106,23 +123,27 @@ def h0_h1(bundle: CurveLineBundle) -> tuple[Dim, Dim]:
        together by the exact Euler characteristic; ``h0`` is bounded above
        by ``d + 1``, the weakest bound valid for every line bundle.
 
+    The flag rules 3-5 apply only in the middle range ``0 <= d <= 2g - 2``
+    that rules 1 and 2 leave open. Rules 1, 2 and 6 are defined once, in
+    :func:`h0_h1_bounds`; here their bounds become :class:`Dim` values, and
+    the intervals of rule 6 carry the Euler characteristic.
+
     For genus 0 the first two rules cover every degree, reproducing the
     familiar closed form ``h0 = k + 1`` for ``k >= 0`` and
     ``h1 = -k - 1`` for ``k <= -2``.
     """
     g = bundle.curve.genus
     d = bundle.degree
+    if 0 <= d <= 2 * g - 2:
+        if bundle.triviality is Triviality.CANONICAL:
+            return Dim.exact(g), Dim.exact(1)
+        if d == 0 and bundle.triviality is Triviality.TRIVIAL:
+            return Dim.exact(1), Dim.exact(g)
+        if d == 0 and bundle.triviality is Triviality.NONTRIVIAL_DEGREE_ZERO:
+            return Dim.exact(0), Dim.exact(g - 1)
+    h0_lower, h0_upper, h1_lower, h1_upper = h0_h1_bounds(g, d)
     chi = d - g + 1
-    if d < 0:
-        return Dim.exact(0), Dim.exact(g - 1 - d)
-    if d > 2 * g - 2:
-        return Dim.exact(chi), Dim.exact(0)
-    if bundle.triviality is Triviality.CANONICAL:
-        return Dim.exact(g), Dim.exact(1)
-    if d == 0 and bundle.triviality is Triviality.TRIVIAL:
-        return Dim.exact(1), Dim.exact(g)
-    if d == 0 and bundle.triviality is Triviality.NONTRIVIAL_DEGREE_ZERO:
-        return Dim.exact(0), Dim.exact(g - 1)
-    h0 = Dim.bounded(max(0, chi), d + 1, chi=chi)
-    h1 = Dim.bounded(max(0, -chi), d + 1 - chi, chi=chi)
-    return h0, h1
+    return (
+        Dim.bounded(h0_lower, h0_upper, chi=chi),
+        Dim.bounded(h1_lower, h1_upper, chi=chi),
+    )

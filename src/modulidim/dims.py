@@ -79,8 +79,9 @@ class Dim:
 
     def __mul__(self, other: "Dim | int") -> "Dim":
         other = _as_dim(other)
-        # A known zero annihilates even an unbounded factor.
-        if self == Dim.exact(0) or other == Dim.exact(0):
+        # A known zero annihilates even an unbounded factor. Since
+        # 0 <= lower <= upper, an upper bound of 0 is exactly a known zero.
+        if self.upper == 0 or other.upper == 0:
             return Dim.exact(0)
         upper = None
         if self.upper is not None and other.upper is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .curves import CurveLineBundle, Triviality, euler_characteristic, h0_h1
+from .curves import h0_h1_bounds
 from .dims import Dim
 from .skyscraper import (
     KilledPairingsVerdict,
@@ -36,14 +36,11 @@ from .skyscraper import (
     killed_pairings_check,
 )
 from .surface import (
-    BidegreeBundle,
     Polarization,
     PreconditionError,
     ProductSurface,
     degree_wrt,
     is_destabilizing,
-    kunneth_h,
-    twist,
 )
 
 
@@ -66,9 +63,6 @@ class SplitStratum:
                 f"bidegree ({self.m}, {self.n}) has negative degree against "
                 f"{self.polarization} and destabilizes nothing"
             )
-
-    def sub_bundle(self) -> BidegreeBundle:
-        return BidegreeBundle.of_type(self.surface, self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -157,27 +151,14 @@ class ComparisonReport:
     verdict: str
 
 
-def tangent_dims_split(stratum: SplitStratum) -> tuple[Dim, Dim, Dim]:
-    """(t_u, t_o, t_s): first cohomology of the square, the structure sheaf
-    (counted once per summand direction), and the inverse square."""
-    sub = stratum.sub_bundle()
-    t_u = kunneth_h(1, twist(sub, 2))
-    t_o = kunneth_h(1, BidegreeBundle.structure_sheaf(stratum.surface))
-    t_s = kunneth_h(1, twist(sub, -2))
-    return t_u, t_o, t_s
-
-
 def toy_domain_dim(m: int, n: int) -> int:
     """Dimension of the quadratic-map domain for the split bundle on a
     product of two lines: ``-8mn - 2``.
 
-    Cross-checked internally against the two-term convolution
-    ``(2m+1)(-2n-1) + (2m-1)(-2n+1)``.
+    It equals the two-term convolution ``(2m+1)(-2n-1) + (2m-1)(-2n+1)``.
     """
     _require_mixed(m, n)
-    value = -8 * m * n - 2
-    assert value == (2 * m + 1) * (-2 * n - 1) + (2 * m - 1) * (-2 * n + 1)
-    return value
+    return -8 * m * n - 2
 
 
 def toy_unstable_codim(m: int, n: int) -> int:
@@ -191,6 +172,21 @@ def _require_mixed(m: int, n: int):
         raise PreconditionError(f"need m > 0 and n < 0, got ({m}, {n})")
 
 
+def _h1_product(first: tuple, second: tuple) -> Dim:
+    """Kunneth ``h^1`` of an external product from the factors' integer
+    bounds ``(h0 lower, h0 upper, h1 lower, h1 upper)``: ``h0 h1 + h1 h0``,
+    bound by bound (every bound is a nonnegative integer)."""
+    return Dim(
+        first[0] * second[2] + first[2] * second[0],
+        first[1] * second[3] + first[3] * second[1],
+    )
+
+
+def _h2_product(first: tuple, second: tuple) -> Dim:
+    """Kunneth ``h^2`` of an external product: ``h1 h1``, bound by bound."""
+    return Dim(first[2] * second[2], first[3] * second[3])
+
+
 def component_report(stratum: SplitStratum) -> KuranishiReport:
     """Full dimension ledger around a split bundle.
 
@@ -198,26 +194,28 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
     square vanishes and its h1, the multiplier ``nu1``, is exact. The margin
     is exact unconditionally; it is only meaningful (established) when the
     Euler characteristic of the second-factor inverse square is positive.
+
+    Every field comes from four evaluations of the generic curve rule
+    (:func:`modulidim.curves.h0_h1_bounds`), at degrees ``2m`` and ``-2m``
+    on the first factor and ``2n`` and ``-2n`` on the second, combined by
+    Kunneth products and sums of integer bounds. The structure sheaf
+    contributes ``t_o = g1 + g2`` and ``h^2 = g1 g2``. The values equal
+    those of :func:`modulidim.surface.kunneth_h` on the twists of ``L``;
+    no bundle objects are built.
     """
     if stratum.m < 1:
         raise PreconditionError(f"the ledger requires m >= 1, got m = {stratum.m}")
     surface = stratum.surface
+    surface.require_pic_independent()
     g1, g2 = surface.genera
     m, n = stratum.m, stratum.n
-    sub = stratum.sub_bundle()
 
-    t_u, t_o, t_s = tangent_dims_split(stratum)
-    assert t_o == Dim.exact(g1 + g2)
-
-    factor1_inv2 = CurveLineBundle(surface.curve1, -2 * m, Triviality.GENERIC)
-    factor2_inv2 = CurveLineBundle(surface.curve2, -2 * n, Triviality.GENERIC)
-    h0_1, h1_1 = h0_h1(factor1_inv2)
-    h0_2, h1_2 = h0_h1(factor2_inv2)
-    assert h0_1 == Dim.exact(0)
+    square1 = h0_h1_bounds(g1, 2 * m)
+    square2 = h0_h1_bounds(g2, 2 * n)
+    inverse1 = h0_h1_bounds(g1, -2 * m)
+    inverse2 = h0_h1_bounds(g2, -2 * n)
     nu1 = 2 * m + g1 - 1
-    assert h1_1 == Dim.exact(nu1)
-    chi2 = euler_characteristic(factor2_inv2)
-    assert chi2 == -2 * n - g2 + 1
+    chi2 = -2 * n - g2 + 1
 
     margin = nu1 * chi2
     c2 = -2 * m * n
@@ -229,14 +227,14 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
         alpha=stratum.polarization.alpha,
         beta=stratum.polarization.beta,
         q_length=0,
-        t_u=t_u,
-        t_o=t_o,
-        t_s=t_s,
-        comp_i_target=kunneth_h(2, twist(sub, 2)),
-        comp_ii_target=kunneth_h(2, BidegreeBundle.structure_sheaf(surface)),
-        comp_iii_target=kunneth_h(2, twist(sub, -2)),
-        codim=nu1 * h0_2,
-        equations=nu1 * h1_2,
+        t_u=_h1_product(square1, square2),
+        t_o=Dim.exact(g1 + g2),
+        t_s=_h1_product(inverse1, inverse2),
+        comp_i_target=_h2_product(square1, square2),
+        comp_ii_target=Dim.exact(g1 * g2),
+        comp_iii_target=_h2_product(inverse1, inverse2),
+        codim=Dim(nu1 * inverse2[0], nu1 * inverse2[1]),
+        equations=Dim(nu1 * inverse2[2], nu1 * inverse2[3]),
         nu1=nu1,
         nu1_stated=2 * m - g1 + 1,
         chi2=chi2,
@@ -252,45 +250,57 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
 
 
 def nonfiltrable_report(stratum: NonfiltrableStratum) -> KuranishiReport:
-    """Dimension ledger around a nonfiltrable bundle.
+    """Dimension ledger around a nonfiltrable bundle: the split ledger of
+    the underlying stratum (:func:`component_report`), shifted by the
+    quotient length (:func:`shift_by_length`)."""
+    return shift_by_length(component_report(stratum.split), stratum.q_length)
 
-    The margin data is inherited from the underlying split stratum; the
-    tangent dimensions shift by the quotient length and ``c2`` grows by it.
-    The shifted ``t_u`` count is exact only when the second cohomology of
-    the square vanishes; otherwise the report carries the honest interval
-    from the connecting sequence and flags the formula as not established.
+
+def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
+    """The nonfiltrable ledger with quotient length ``l`` over a split ledger.
+
+    The margin data is inherited from the split stratum; the tangent
+    dimensions shift by the quotient length and ``c2`` grows by it. The
+    shifted ``t_u`` count is exact only when the second cohomology of the
+    square vanishes; otherwise the report carries the honest interval from
+    the connecting sequence and flags the formula as not established.
+
+    The split ledger does not depend on ``l``, so a caller walking several
+    lengths over one stratum computes it once and shifts it per length.
     """
-    base = component_report(stratum.split)
-    l = stratum.q_length
+    if l < 0:
+        raise PreconditionError("q_length must be >= 0")
+    if split.q_length != 0:
+        raise PreconditionError("only a split ledger (q_length 0) can be shifted")
     if l == 0:
-        return base
+        return split
 
     quotient = SkyscraperQuotient.of_length(l)
-    gamma_part, h1_part = ext1_FF_decomposition(quotient, base.g1 + base.g2)
+    gamma_part, h1_part = ext1_FF_decomposition(quotient, split.g1 + split.g2)
     t_o = Dim.exact(h1_part + gamma_part)
-    t_s = Dim.exact(l) + base.t_s
+    t_s = split.t_s + l
 
-    h2_square = base.comp_i_target
-    if h2_square == Dim.exact(0):
-        t_u = base.t_u + l
+    h2_square = split.comp_i_target
+    if h2_square.upper == 0:
+        t_u = split.t_u + l
         t_u_established = True
     else:
         # Exactness pins t_u between h1 of the square plus the part of the
         # length not absorbed by h2, and h1 plus the full length.
         absorbed = l if h2_square.upper is None else min(l, h2_square.upper)
-        upper = None if base.t_u.upper is None else base.t_u.upper + l
-        t_u = Dim.bounded(base.t_u.lower + l - absorbed, upper)
+        upper = None if split.t_u.upper is None else split.t_u.upper + l
+        t_u = Dim.bounded(split.t_u.lower + l - absorbed, upper)
         t_u_established = False
 
-    c2 = -2 * stratum.split.m * stratum.split.n + l
+    c2 = split.c2 + l
     return replace(
-        base,
+        split,
         q_length=l,
         t_u=t_u,
         t_o=t_o,
         t_s=t_s,
         c2=c2,
-        margin_exceeds_c2=base.margin > c2,
+        margin_exceeds_c2=split.margin > c2,
         t_u_established=t_u_established,
         pairing_reduction=killed_pairings_check(quotient),
     )

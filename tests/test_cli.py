@@ -281,6 +281,44 @@ beta = 1
         code, _, err = run_cli(capsys, "sweep", "--config", "/nonexistent.cfg")
         assert code == 1 and "error" in err
 
+    def test_rows_match_per_row_nonfiltrable_reports(self, capsys, tmp_path):
+        # the sweep computes one split ledger per (m, n) and shifts it by l;
+        # each ledger row must equal the standalone report for its (m, n, l)
+        path = tmp_path / "sweep.cfg"
+        checked = 0
+        for g1 in range(0, 4):
+            for g2 in range(0, 4):
+                path.write_text(
+                    f"g1 = {g1}\ng2 = {g2}\nm_range = -1..3\nn_range = -3..1\n"
+                    "l_range = 0..2\nalpha = 2\nbeta = 1\n"
+                )
+                _, doc, _ = run_json(capsys, "sweep", "--config", str(path))
+                statuses = [r["status"] for r in doc["results"]["rows"]]
+                assert "ok" in statuses and "not-destabilizing" in statuses
+                assert "outside-validity: needs m >= 1" in statuses
+                for row in doc["results"]["rows"]:
+                    if row["status"] not in ("ok", "not-established"):
+                        continue
+                    code, report, _ = run_json(
+                        capsys, "report", "nonfiltrable",
+                        "--g1", str(g1), "--g2", str(g2), "--m", str(row["m"]),
+                        "--n", str(row["n"]), "--l", str(row["l"]),
+                        "--alpha", "2", "--beta", "1",
+                    )
+                    results = report["results"]
+                    for key in ("t_u", "t_o", "t_s", "codim", "equations", "margin", "c2"):
+                        assert row[key] == results[key], (g1, g2, row, key)
+                    assert row["margin_exceeds_c2"] == report["verdicts"]["margin_exceeds_c2"]
+                    assert (row["status"] == "ok") == (code == 0)
+                    checked += 1
+        assert checked > 100
+
+    def test_negative_length_on_a_ledger_row_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(self.CONFIG.replace("l_range = 0..1", "l_range = -1..2"))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1 and not out and "q_length" in err
+
 
 class TestDocumentContract:
     def test_json_round_trips_byte_identically(self, capsys):

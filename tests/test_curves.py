@@ -59,6 +59,8 @@ class TestH0H1:
 
     def test_structure_sheaf(self):
         assert h0_h1(bundle(3, 0, Triviality.TRIVIAL)) == (Dim.exact(1), Dim.exact(3))
+        # genus 0: degree 0 is above the canonical degree, rule 2 applies
+        assert h0_h1(bundle(0, 0, Triviality.TRIVIAL)) == (Dim.exact(1), Dim.exact(0))
 
     def test_nontrivial_degree_zero(self):
         assert h0_h1(bundle(3, 0, Triviality.NONTRIVIAL_DEGREE_ZERO)) == (
@@ -70,6 +72,8 @@ class TestH0H1:
         assert h0_h1(bundle(2, 2, Triviality.CANONICAL)) == (Dim.exact(2), Dim.exact(1))
         # genus 1: canonical is the structure sheaf
         assert h0_h1(bundle(1, 0, Triviality.CANONICAL)) == (Dim.exact(1), Dim.exact(1))
+        # genus 0: the canonical degree -2 is negative, rule 1 applies
+        assert h0_h1(bundle(0, -2, Triviality.CANONICAL)) == (Dim.exact(0), Dim.exact(1))
 
     def test_middle_range_is_interval(self):
         h0, h1 = h0_h1(bundle(3, 2))

@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
+from modulidim.curves import CurveLineBundle, euler_characteristic, h0_h1, h0_h1_bounds
 from modulidim.dims import Dim
 from modulidim.kuranishi import (
+    KuranishiReport,
     NonfiltrableStratum,
     SplitStratum,
     component_report,
@@ -9,11 +13,19 @@ from modulidim.kuranishi import (
     homology_comparison_report,
     kirwan_vanishing_range,
     nonfiltrable_report,
-    tangent_dims_split,
+    shift_by_length,
     toy_domain_dim,
     toy_unstable_codim,
 )
-from modulidim.surface import Polarization, PreconditionError, ProductSurface
+from modulidim.surface import (
+    BidegreeBundle,
+    Polarization,
+    PreconditionError,
+    ProductSurface,
+    is_destabilizing,
+    kunneth_h,
+    twist,
+)
 
 W = Polarization(1, 1)
 P1P1 = ProductSurface.from_genera(0, 0)
@@ -51,16 +63,78 @@ class TestToy:
 
 class TestTangentDims:
     def test_lines(self):
-        t_u, t_o, t_s = tangent_dims_split(split(P1P1, 1, -1))
-        assert t_o == Dim.exact(0)
-        assert t_u + t_s == Dim.exact(6)
-        assert t_u + t_s == Dim.exact(toy_domain_dim(1, -1))
+        r = component_report(split(P1P1, 1, -1))
+        assert r.t_o == Dim.exact(0)
+        assert r.t_u + r.t_s == Dim.exact(6)
+        assert r.t_u + r.t_s == Dim.exact(toy_domain_dim(1, -1))
 
     def test_t_o_is_sum_of_genera(self):
-        _, t_o, _ = tangent_dims_split(split(G23, 1, -1))
-        assert t_o == Dim.exact(5)
-        _, t_o, _ = tangent_dims_split(split(G22, 4, -2))
-        assert t_o == Dim.exact(4)
+        assert component_report(split(G23, 1, -1)).t_o == Dim.exact(5)
+        assert component_report(split(G22, 4, -2)).t_o == Dim.exact(4)
+
+
+def _kernel_grid():
+    """Split strata for g1, g2 in 0..4, m in 1..8, n in -8..8 under two
+    polarizations, destabilizing ones only."""
+    for g1 in range(0, 5):
+        for g2 in range(0, 5):
+            s = ProductSurface.from_genera(g1, g2)
+            for w in (Polarization(1, 1), Polarization(4, 1)):
+                for m in range(1, 9):
+                    for n in range(-8, 9):
+                        if is_destabilizing((m, n), w):
+                            yield split(s, m, n, w)
+
+
+def _kunneth_reference(stratum):
+    """Every Dim field of the ledger, through kunneth_h on the twists of L
+    and h0_h1 on the second-factor inverse square."""
+    s = stratum.surface
+    sub = BidegreeBundle.of_type(s, stratum.m, stratum.n)
+    o = BidegreeBundle.structure_sheaf(s)
+    nu1 = 2 * stratum.m + s.curve1.genus - 1
+    h0_2, h1_2 = h0_h1(CurveLineBundle(s.curve2, -2 * stratum.n))
+    return {
+        "t_u": kunneth_h(1, twist(sub, 2)),
+        "t_o": kunneth_h(1, o),
+        "t_s": kunneth_h(1, twist(sub, -2)),
+        "comp_i_target": kunneth_h(2, twist(sub, 2)),
+        "comp_ii_target": kunneth_h(2, o),
+        "comp_iii_target": kunneth_h(2, twist(sub, -2)),
+        "codim": nu1 * h0_2,
+        "equations": nu1 * h1_2,
+    }
+
+
+class TestLedgerKernel:
+    def test_every_dim_field_matches_kunneth_reference(self):
+        intervals = set()
+        for stratum in _kernel_grid():
+            r = component_report(stratum)
+            got = {f.name: getattr(r, f.name) for f in fields(KuranishiReport)
+                   if isinstance(getattr(r, f.name), Dim)}
+            assert got == _kunneth_reference(stratum), stratum
+            intervals.update(name for name, d in got.items() if not d.is_exact)
+        # middle-range factor degrees occur on both the square and the inverse
+        assert {"t_u", "comp_i_target", "t_s", "codim", "equations"} <= intervals
+
+    def test_curve_rule_identities(self):
+        for stratum in _kernel_grid():
+            r = component_report(stratum)
+            s, m, n = stratum.surface, stratum.m, stratum.n
+            assert h0_h1(CurveLineBundle(s.curve1, -2 * m)) == (
+                Dim.exact(0), Dim.exact(r.nu1)
+            )
+            assert h0_h1_bounds(s.curve1.genus, -2 * m) == (0, 0, r.nu1, r.nu1)
+            assert r.chi2 == euler_characteristic(CurveLineBundle(s.curve2, -2 * n))
+            assert r.t_o == Dim.exact(sum(s.genera))
+
+    def test_rejects_pic_dependent_surface(self):
+        s = ProductSurface.from_genera(2, 2, pic_independent=False)
+        with pytest.raises(PreconditionError):
+            component_report(split(s, 3, -2))
+        with pytest.raises(PreconditionError):
+            nonfiltrable_report(NonfiltrableStratum(split(s, 3, -2), 1))
 
 
 class TestComponentReport:
@@ -246,6 +320,13 @@ class TestNonfiltrable:
     def test_rejects_negative_length(self):
         with pytest.raises(PreconditionError):
             NonfiltrableStratum(split(G22, 3, -2), -1)
+        with pytest.raises(PreconditionError):
+            shift_by_length(component_report(split(G22, 3, -2)), -1)
+
+    def test_shift_needs_a_split_ledger(self):
+        shifted = shift_by_length(component_report(split(G23, 2, -1)), 2)
+        with pytest.raises(PreconditionError):
+            shift_by_length(shifted, 1)
 
 
 class TestKirwan:
