@@ -36,7 +36,6 @@ from .kuranishi import (
     SplitStratum,
     component_report,
     homology_comparison_report,
-    kirwan_vanishing_range,
     nonfiltrable_report,
     shift_by_length,
     toy_domain_dim,
@@ -53,8 +52,6 @@ from .skyscraper import (
     ExtensionClass,
     SkyscraperQuotient,
     ext1_FF_decomposition,
-    ext_dims_QF,
-    ext_dims_QM,
     ext_dims_QQ,
     is_locally_free_extension,
     killed_pairings_check,
@@ -71,7 +68,6 @@ from .surface import (
     is_destabilizing,
     kunneth_h,
     moduli_real_dimension,
-    singular_locus_h0,
     surface_topology,
     twist,
 )
@@ -118,8 +114,6 @@ __all__ = [
     "dim_lower_bound",
     "euler_characteristic",
     "ext1_FF_decomposition",
-    "ext_dims_QF",
-    "ext_dims_QM",
     "ext_dims_QQ",
     "h0_h1",
     "h0_h1_bounds",
@@ -129,7 +123,6 @@ __all__ = [
     "is_destabilizing",
     "is_locally_free_extension",
     "killed_pairings_check",
-    "kirwan_vanishing_range",
     "koszul_ext",
     "kunneth_h",
     "moduli_real_dimension",
@@ -138,7 +131,6 @@ __all__ = [
     "select_twist",
     "serre_dual_degree",
     "shift_by_length",
-    "singular_locus_h0",
     "surface_topology",
     "toy_domain_dim",
     "toy_unstable_codim",

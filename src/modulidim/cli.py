@@ -11,7 +11,10 @@ Exit codes:
 * 0: success (including established negative verdicts),
 * 1: precondition violation or malformed usage,
 * 2: a result was indeterminate while ``--require-exact`` was given,
-* 3: a report contains a not-established verdict (distinct from an error).
+* 3: a report contains a not-established verdict (distinct from an error),
+* 4: an internal check failed: an oracle result moved between windows
+  ``N`` and ``N + 1``, or a Koszul differential did not vanish. Nothing is
+  written to stdout.
 """
 
 from __future__ import annotations
@@ -34,11 +37,20 @@ from .kuranishi import (
     toy_domain_dim,
     toy_unstable_codim,
 )
-from .oracle import KoszulModel, TruncationWindow, cech_h_p1, cech_h_product, koszul_ext
+from .oracle import (
+    KoszulAssertionError,
+    KoszulModel,
+    StabilizationError,
+    TruncationWindow,
+    cech_h_p1,
+    cech_h_product,
+    koszul_ext,
+)
 from .surface import (
     Polarization,
     PreconditionError,
     ProductSurface,
+    c2_of_extension,
     degree_wrt,
     intersection,
     moduli_real_dimension,
@@ -50,21 +62,32 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_INDETERMINATE = 2
 EXIT_NOT_ESTABLISHED = 3
+EXIT_INTERNAL = 4
+
+# Ledger fields of ``report split|nonfiltrable``; sweep and compare rows show
+# the subsets below. Those in ``_CHI_DERIVED`` are exact only through an
+# Euler characteristic; the rest are closed-form.
+_LEDGER_FIELDS = (
+    "t_u", "t_o", "t_s", "comp_i_target", "comp_ii_target", "comp_iii_target",
+    "codim", "equations", "nu1", "nu1_stated", "chi2", "margin", "margin_stated",
+    "c2", "q_length", "unavoidable_equations",
+)
+_CHI_DERIVED = frozenset({"margin", "margin_stated"})
+_SWEEP_FIELDS = ("t_u", "t_o", "t_s", "codim", "equations", "margin", "c2")
+_COMPARE_FIELDS = ("margin", "margin_stated", "c2")
 
 
-def _pv(value, provenance: str) -> dict:
+def _pv(value: Dim | int, provenance: str) -> dict:
+    if isinstance(value, Dim):
+        return value.to_doc(provenance)
     return {"value": value, "provenance": provenance}
 
 
-def _dim_doc(d: Dim, provenance: str) -> dict:
-    return d.to_doc(provenance)
-
-
-def _dim_str(doc: dict) -> str:
-    if doc.get("kind") == "exact":
-        return str(doc["value"])
-    hi = "inf" if doc["upper"] is None else str(doc["upper"])
-    return f"[{doc['lower']}..{hi}]"
+def _ledger_results(report: KuranishiReport, names: tuple[str, ...]) -> dict:
+    return {
+        name: _pv(getattr(report, name), "chi-derived" if name in _CHI_DERIVED else "closed-form")
+        for name in names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +96,6 @@ def _dim_str(doc: dict) -> str:
 
 
 def _kuranishi_doc(command: str, report: KuranishiReport) -> dict:
-    ledger = [
-        discrepancies.nu1_entry(report.m, report.g1, report.chi2),
-        discrepancies.c2_entry(report.m, report.n, report.q_length),
-    ]
     topology = surface_topology(ProductSurface.from_genera(report.g1, report.g2))
     return {
         "command": command,
@@ -90,22 +109,7 @@ def _kuranishi_doc(command: str, report: KuranishiReport) -> dict:
             "l": report.q_length,
         },
         "results": {
-            "t_u": _dim_doc(report.t_u, "closed-form"),
-            "t_o": _dim_doc(report.t_o, "closed-form"),
-            "t_s": _dim_doc(report.t_s, "closed-form"),
-            "comp_i_target": _dim_doc(report.comp_i_target, "closed-form"),
-            "comp_ii_target": _dim_doc(report.comp_ii_target, "closed-form"),
-            "comp_iii_target": _dim_doc(report.comp_iii_target, "closed-form"),
-            "codim": _dim_doc(report.codim, "closed-form"),
-            "equations": _dim_doc(report.equations, "closed-form"),
-            "nu1": _pv(report.nu1, "closed-form"),
-            "nu1_stated": _pv(report.nu1_stated, "closed-form"),
-            "chi2": _pv(report.chi2, "closed-form"),
-            "margin": _pv(report.margin, "chi-derived"),
-            "margin_stated": _pv(report.margin_stated, "chi-derived"),
-            "c2": _pv(report.c2, "closed-form"),
-            "q_length": _pv(report.q_length, "closed-form"),
-            "unavoidable_equations": _pv(report.unavoidable_equations, "closed-form"),
+            **_ledger_results(report, _LEDGER_FIELDS),
             "moduli_real_dim": _pv(
                 moduli_real_dimension(report.c2, topology), "closed-form"
             ),
@@ -116,19 +120,18 @@ def _kuranishi_doc(command: str, report: KuranishiReport) -> dict:
             "t_u_established": report.t_u_established,
         },
         "pairing_reduction": {
-            "reduction_valid": report.pairing_reduction.reduction_valid,
             "components": [
                 {"pairing": c.pairing, "killed": c.killed, "reason": c.reason}
                 for c in report.pairing_reduction.components
             ],
             "assumptions": list(report.pairing_reduction.assumptions),
         },
-        "discrepancy_ledger": ledger,
+        "discrepancy_ledger": discrepancies.ledger(report),
     }
 
 
 def _toy_doc(m: int, n: int) -> dict:
-    c2 = -2 * m * n
+    c2 = c2_of_extension((m, n), (-m, -n), 0)
     topology = surface_topology(ProductSurface.from_genera(0, 0))
     return {
         "command": "report toy",
@@ -143,35 +146,27 @@ def _toy_doc(m: int, n: int) -> dict:
             ),
             "moduli_real_dim": _pv(moduli_real_dimension(c2, topology), "closed-form"),
         },
-        "discrepancy_ledger": [discrepancies.c2_entry(m, n, 0)],
+        "discrepancy_ledger": [discrepancies.c2_entry(m, n, 0, c2)],
     }
 
 
 def _compare_doc(report: ComparisonReport) -> dict:
-    rows = []
-    for outcome in report.strata:
-        r = outcome.report
-        rows.append(
-            {
-                "m": outcome.m,
-                "n": outcome.n,
-                "l": outcome.q_length,
-                "orientation": outcome.orientation,
-                "margin": _pv(r.margin, "chi-derived"),
-                "margin_stated": _pv(r.margin_stated, "chi-derived"),
-                "c2": _pv(r.c2, "closed-form"),
-                "margin_exceeds_c2": r.margin_exceeds_c2,
-                "margin_established": r.margin_established,
-            }
-        )
+    rows = [
+        {
+            "m": outcome.m,
+            "n": outcome.n,
+            "l": outcome.q_length,
+            "orientation": outcome.orientation,
+            **_ledger_results(outcome.report, _COMPARE_FIELDS),
+            "margin_exceeds_c2": outcome.report.margin_exceeds_c2,
+            "margin_established": outcome.established,
+        }
+        for outcome in report.strata
+    ]
     ledger = []
     established = [o for o in report.strata if o.established]
     if established:
-        tight = min(established, key=lambda o: o.margin)
-        ledger = [
-            discrepancies.nu1_entry(tight.report.m, tight.report.g1, tight.report.chi2),
-            discrepancies.c2_entry(tight.report.m, tight.report.n, tight.report.q_length),
-        ]
+        ledger = discrepancies.ledger(min(established, key=lambda o: o.margin).report)
     g1, g2 = report.surface.genera
     return {
         "command": "report compare",
@@ -264,7 +259,6 @@ def _oracle_p1_doc(args) -> dict:
         "command": "oracle p1",
         "inputs": {"k": args.k, "window": r.window},
         "results": {"h0": _pv(r.h0, "oracle"), "h1": _pv(r.h1, "oracle")},
-        "stabilized": r.stabilized,
     }
 
 
@@ -279,7 +273,6 @@ def _oracle_product_doc(args) -> dict:
             "h1": _pv(r.h1, "oracle"),
             "h2": _pv(r.h2, "oracle"),
         },
-        "stabilized": r.stabilized,
     }
 
 
@@ -294,7 +287,6 @@ def _oracle_koszul_doc(args) -> dict:
             "ext2": _pv(r.e2, "oracle"),
             "length": _pv(r.length, "oracle"),
         },
-        "zero_differentials": r.zero_differentials,
     }
 
 
@@ -362,19 +354,9 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
             if split_mn != (m, n):
                 split_mn, split = (m, n), component_report(SplitStratum(surface, m, n, w))
             report = shift_by_length(split, l)
-            row.update(
-                {
-                    "t_u": _dim_doc(report.t_u, "closed-form"),
-                    "t_o": _dim_doc(report.t_o, "closed-form"),
-                    "t_s": _dim_doc(report.t_s, "closed-form"),
-                    "codim": _dim_doc(report.codim, "closed-form"),
-                    "equations": _dim_doc(report.equations, "closed-form"),
-                    "margin": _pv(report.margin, "chi-derived"),
-                    "c2": _pv(report.c2, "closed-form"),
-                    "margin_exceeds_c2": report.margin_exceeds_c2,
-                    "status": "ok" if report.margin_established else "not-established",
-                }
-            )
+            row.update(_ledger_results(report, _SWEEP_FIELDS))
+            row["margin_exceeds_c2"] = report.margin_exceeds_c2
+            row["status"] = "ok" if report.margin_established else "not-established"
             if not report.margin_established:
                 any_not_established = True
         rows.append(row)
@@ -397,11 +379,27 @@ def render_json(doc: dict) -> str:
 
 def _md_value(v) -> str:
     if isinstance(v, dict):
-        if "kind" in v:
-            return _dim_str(v)
+        if v.get("kind") == "interval":
+            hi = "inf" if v["upper"] is None else str(v["upper"])
+            return f"[{v['lower']}..{hi}]"
         if "value" in v:
             return str(v["value"])
     return str(v)
+
+
+# Markdown columns of the row tables: (header, row key); a key the row lacks
+# renders as "-".
+_SWEEP_COLUMNS = (
+    ("m", "m"), ("n", "n"), ("l", "l"), ("t_u", "t_u"), ("t_o", "t_o"), ("t_s", "t_s"),
+    ("codim", "codim"), ("equations", "equations"), ("margin", "margin"), ("c2", "c2"),
+    ("margin>c2", "margin_exceeds_c2"), ("status", "status"),
+)
+_COMPARE_COLUMNS = (
+    ("m", "m"), ("n", "n"), ("l", "l"), ("orientation", "orientation"),
+    ("margin", "margin"), ("stated", "margin_stated"), ("c2", "c2"),
+    ("established", "margin_established"),
+)
+_ROW_TABLES = {"sweep": ("rows", _SWEEP_COLUMNS), "report compare": ("strata", _COMPARE_COLUMNS)}
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -419,40 +417,12 @@ def render_markdown(doc: dict) -> str:
         lines.append("")
 
     results = doc.get("results", {})
-    if doc["command"] == "sweep":
-        headers = ["m", "n", "l", "t_u", "t_o", "t_s", "codim", "equations",
-                   "margin", "c2", "margin>c2", "status"]
-        rows = []
-        for row in results["rows"]:
-            rows.append([
-                str(row["m"]), str(row["n"]), str(row["l"]),
-                _md_value(row.get("t_u", "-")), _md_value(row.get("t_o", "-")),
-                _md_value(row.get("t_s", "-")), _md_value(row.get("codim", "-")),
-                _md_value(row.get("equations", "-")), _md_value(row.get("margin", "-")),
-                _md_value(row.get("c2", "-")), str(row.get("margin_exceeds_c2", "-")),
-                row["status"],
-            ])
-        lines += _md_table(headers, rows)
-    elif doc["command"] == "report compare":
-        headers = ["m", "n", "l", "orientation", "margin", "stated", "c2", "established"]
-        rows = [
-            [str(r["m"]), str(r["n"]), str(r["l"]), r["orientation"],
-             _md_value(r["margin"]), _md_value(r["margin_stated"]),
-             _md_value(r["c2"]), str(r["margin_established"])]
-            for r in results["strata"]
-        ]
-        lines += _md_table(headers, rows)
-        lines.append("")
-        lines.append(f"Minimum margin: {_md_value(results['min_margin'])}")
-        lines.append(f"Verdict: {doc['verdicts']['margin_exceeds_c2']}")
-        if results["not_established"]:
-            lines.append("")
-            lines.append("Not established:")
-            for e in results["not_established"]:
-                lines.append(f"- ({e['m']}, {e['n']}, l={e['l']}): {e['reason']}")
-        if results["excluded"]:
-            lines.append("")
-            lines.append(f"Excluded strata: {len(results['excluded'])} (outside the mixed-bidegree regime)")
+    if doc["command"] in _ROW_TABLES:
+        key, columns = _ROW_TABLES[doc["command"]]
+        lines += _md_table(
+            [header for header, _ in columns],
+            [[_md_value(row.get(k, "-")) for _, k in columns] for row in results[key]],
+        )
     else:
         if results:
             rows = [[k, _md_value(v)] for k, v in sorted(results.items())
@@ -469,6 +439,18 @@ def render_markdown(doc: dict) -> str:
             lines.append("")
             for k, v in sorted(doc["verdicts"].items()):
                 lines.append(f"- {k}: {v}")
+    if doc["command"] == "report compare":
+        lines.append("")
+        lines.append(f"Minimum margin: {_md_value(results['min_margin'])}")
+        lines.append(f"Verdict: {doc['verdicts']['margin_exceeds_c2']}")
+        if results["not_established"]:
+            lines.append("")
+            lines.append("Not established:")
+            for e in results["not_established"]:
+                lines.append(f"- ({e['m']}, {e['n']}, l={e['l']}): {e['reason']}")
+        if results["excluded"]:
+            lines.append("")
+            lines.append(f"Excluded strata: {len(results['excluded'])} (outside the mixed-bidegree regime)")
 
     ledger = doc.get("discrepancy_ledger")
     if ledger:
@@ -635,6 +617,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ValueError, OSError) as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (StabilizationError, KoszulAssertionError) as exc:
+        print(f"modulidim: error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if getattr(args, "require_exact", False) and _has_interval(doc):
         code = EXIT_INDETERMINATE
     text = render_json(doc) if args.format == "json" else render_markdown(doc)

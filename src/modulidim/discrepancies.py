@@ -5,40 +5,47 @@ auditable. Three quantities circulate with closed forms that disagree with
 what exact computation gives; every report touching one of them carries a
 ledger entry showing the stated form, the form actually used, the two
 values for the inputs at hand, and the relation that keeps the original
-conclusions intact.
+conclusions intact. Used values are read from the report that computes
+them; only the stated forms, which no report carries, are evaluated here.
 """
 
 from __future__ import annotations
 
+from .kuranishi import KuranishiReport
 
-def nu1_entry(m: int, g1: int, chi2: int) -> dict:
+
+def ledger(report: KuranishiReport) -> list[dict]:
+    """The entries of a Kuranishi report, from the values it carries."""
+    return [_nu1_entry(report), c2_entry(report.m, report.n, report.q_length, report.c2)]
+
+
+def _nu1_entry(report: KuranishiReport) -> dict:
     """The obstruction multiplier on the first factor.
 
-    The stated form undercounts by ``2(g1 - 1)``: duality on the first
-    curve gives ``2m + g1 - 1`` for the relevant h1, so for genus at least
-    one the margin computed here dominates the stated one and every
-    conclusion drawn from the stated value survives.
+    The stated form ``2m - g1 + 1`` undercounts by ``2(g1 - 1)``: duality
+    on the first curve gives ``2m + g1 - 1`` for the relevant h1, so for
+    genus at least one the margin computed here dominates the stated one
+    and every conclusion drawn from the stated value survives.
     """
-    nu1 = 2 * m + g1 - 1
-    nu1_stated = 2 * m - g1 + 1
     return {
         "id": "nu1-obstruction-count",
         "anchor": "split-bundle margin analysis, first-factor multiplier",
         "stated_formula": "2m - g1 + 1",
         "used_formula": "2m + g1 - 1",
-        "stated_value": nu1_stated,
-        "used_value": nu1,
-        "stated_margin": nu1_stated * chi2,
-        "used_margin": nu1 * chi2,
+        "stated_value": report.nu1_stated,
+        "used_value": report.nu1,
+        "stated_margin": report.margin_stated,
+        "used_margin": report.margin,
         "relation": "used >= stated whenever g1 >= 1 (equality at g1 = 1)",
     }
 
 
-def c2_entry(m: int, n: int, l: int) -> dict:
+def c2_entry(m: int, n: int, l: int, c2: int) -> dict:
     """Second Chern number of an extension with a point-supported quotient.
 
     The stated form drops a factor of two in the pairing term; the Whitney
-    product rule on the split type pins the convention used here.
+    product rule on the split type (:func:`modulidim.surface.c2_of_extension`)
+    gives the used value ``c2``.
     """
     return {
         "id": "extension-second-chern",
@@ -46,7 +53,7 @@ def c2_entry(m: int, n: int, l: int) -> dict:
         "stated_formula": "-m*n + l",
         "used_formula": "-2*m*n + l",
         "stated_value": -m * n + l,
-        "used_value": -2 * m * n + l,
+        "used_value": c2,
         "relation": "used value agrees with the product-rule computation on split types",
     }
 

@@ -39,6 +39,7 @@ from .surface import (
     Polarization,
     PreconditionError,
     ProductSurface,
+    c2_of_extension,
     degree_wrt,
     is_destabilizing,
 )
@@ -111,10 +112,6 @@ class KuranishiReport:
     t_u_established: bool
     unavoidable_equations: int
     pairing_reduction: KilledPairingsVerdict
-
-    @property
-    def kind(self) -> str:
-        return "split" if self.q_length == 0 else "nonfiltrable"
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,7 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
     chi2 = -2 * n - g2 + 1
 
     margin = nu1 * chi2
-    c2 = -2 * m * n
+    c2 = c2_of_extension((m, n), (-m, -n), 0)
     return KuranishiReport(
         g1=g1,
         g2=g2,
@@ -306,20 +303,6 @@ def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
     )
 
 
-def kirwan_vanishing_range(codim_k: int, defining_eqs_mu: int) -> int:
-    """Exclusive upper bound on degrees where removal preserves homology.
-
-    Removing a closed subvariety of codimension ``k`` from a variety cut
-    out locally by at most ``mu`` equations leaves homology unchanged in
-    degrees ``q < k - mu``.
-    """
-    if codim_k < 1:
-        raise PreconditionError(f"codimension must be >= 1, got {codim_k}")
-    if defining_eqs_mu < 0:
-        raise PreconditionError("the equation count must be >= 0")
-    return codim_k - defining_eqs_mu
-
-
 def enumerate_strata(
     surface: ProductSurface, w: Polarization, c2: int, bound: int
 ) -> tuple[list[tuple[int, int, int, str]], list[dict]]:
@@ -330,7 +313,8 @@ def enumerate_strata(
     bidegrees; when the negative entry sits in the first slot, the factor
     roles swap. Types with ``mn >= 0`` fall in the regime of families
     consisting only of unstable bundles, which are removed before the
-    comparison; they are returned separately so nothing is silently skipped.
+    comparison; they are returned separately as ``{m, n, l}`` entries so
+    nothing is silently skipped.
     """
     mixed: list[tuple[int, int, int, str]] = []
     excluded: list[dict] = []
@@ -342,18 +326,7 @@ def enumerate_strata(
             if degree_wrt((m, n), w) < 0:
                 continue
             if m * n >= 0:
-                excluded.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "l": l,
-                        "reason": (
-                            "bidegree with mn >= 0: the stratum lies in a "
-                            "family consisting only of unstable bundles, "
-                            "removed before the comparison"
-                        ),
-                    }
-                )
+                excluded.append({"m": m, "n": n, "l": l})
                 continue
             orientation = "standard" if m >= 1 else "swapped"
             mixed.append((m, n, l, orientation))
@@ -385,11 +358,13 @@ def homology_comparison_report(
 ) -> ComparisonReport:
     """Aggregate margin check: does every enumerated stratum clear ``c2``?
 
-    Verdicts: ``"true"`` when every margin is established and exceeds
-    ``c2`` (vacuously true with no strata), ``"false"`` when an established
-    margin fails to, and ``"not-established"`` when some stratum falls
-    outside the hypotheses of the margin formulas. Enumeration is complete
-    only within the box ``|m|, |n| <= bound``.
+    Verdicts, in order of precedence: ``"false"`` when some established
+    margin fails to exceed ``c2``, which decides the question whatever the
+    other strata say; ``"not-established"`` when some stratum falls outside
+    the hypotheses of the margin formulas; ``"true"`` otherwise, when every
+    margin is established and exceeds ``c2`` (vacuously true with no
+    strata). Not-established strata are listed with every verdict.
+    Enumeration is complete only within the box ``|m|, |n| <= bound``.
     """
     if c2 < 1:
         raise PreconditionError(f"c2 must be >= 1, got {c2}")
@@ -422,12 +397,12 @@ def homology_comparison_report(
 
     established = [o.margin for o in outcomes if o.established]
     min_margin = min(established) if established else None
-    if failing:
-        verdict = "not-established"
-    elif min_margin is None or min_margin > c2:
-        verdict = "true"
-    else:
+    if min_margin is not None and min_margin <= c2:
         verdict = "false"
+    elif failing:
+        verdict = "not-established"
+    else:
+        verdict = "true"
     return ComparisonReport(
         surface=surface,
         polarization=w,

@@ -11,8 +11,10 @@ Three oracles, all over exact integer arithmetic:
 
 Infinite section spaces are truncated to a monomial exponent window
 ``[-N, N]``. Correctness of a truncated answer is certified operationally:
-every result is recomputed at window ``N + 1`` and carries a ``stabilized``
-flag asserting the dimensions did not move.
+every result is recomputed at window ``N + 1``, and a change in any
+dimension raises :class:`StabilizationError`. The Koszul oracle raises
+:class:`KoszulAssertionError` when a differential fails to vanish. The
+command line reports either error with exit code 4.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class P1CechResult:
     h0: int
     h1: int
     window: int
-    stabilized: bool
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class ProductCechResult:
     h1: int
     h2: int
     window: int
-    stabilized: bool
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class KoszulExtResult:
     e1: int
     e2: int
     length: int
-    zero_differentials: bool
 
 
 def _chart_exponents(chart: int, k: int, N: int) -> range:
@@ -130,7 +129,7 @@ def cech_h_p1(k: int, window: TruncationWindow | None = None) -> P1CechResult:
     h = _p1_dims(k, N)
     if h != _p1_dims(k, N + 1):
         raise StabilizationError(f"degree {k} not stabilized at window {N}")
-    return P1CechResult(k=k, h0=h[0], h1=h[1], window=N, stabilized=True)
+    return P1CechResult(k=k, h0=h[0], h1=h[1], window=N)
 
 
 def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
@@ -204,9 +203,7 @@ def cech_h_product(
     h = _product_dims(a, b, N)
     if h != _product_dims(a, b, N + 1):
         raise StabilizationError(f"bidegree ({a}, {b}) not stabilized at window {N}")
-    return ProductCechResult(
-        a=a, b=b, h0=h[0], h1=h[1], h2=h[2], window=N, stabilized=True
-    )
+    return ProductCechResult(a=a, b=b, h0=h[0], h1=h[1], h2=h[2], window=N)
 
 
 def _multiplication_matrix(model: KoszulModel, dx: int, dy: int) -> list[list[int]]:
@@ -252,5 +249,4 @@ def koszul_ext(model: KoszulModel) -> KoszulExtResult:
         e1=2 * l - rank1 - rank2,
         e2=l - rank2,
         length=l,
-        zero_differentials=True,
     )

@@ -2,12 +2,10 @@
 
 A skyscraper quotient ``Q`` (locally a quotient of the structure sheaf,
 supported at finitely many points, each a local complete intersection) has
-Ext groups whose dimensions depend only on its total length ``l``:
-
-* against itself: ``(l, 2l, l)``,
-* against a line bundle: ``(0, 0, l)``,
-* against the kernel ``F`` of a surjection from a line bundle onto ``Q``:
-  ``Ext^1 = l`` and ``Ext^2 = 2l``.
+self-Ext dimensions ``(l, 2l, l)`` that depend only on its total length
+``l``. The self-Ext of the kernel ``F`` of a surjection from a line bundle
+onto ``Q`` splits into a point-supported part of dimension ``2l`` and the
+first cohomology of the structure sheaf.
 
 The Koszul oracle (:mod:`modulidim.oracle`) recomputes the self-Ext counts
 from an explicit resolution for monomial complete intersections, which is
@@ -44,10 +42,6 @@ class SkyscraperQuotient:
     def total_length(self) -> int:
         return sum(self.local_lengths)
 
-    @property
-    def support_size(self) -> int:
-        return len(self.local_lengths)
-
 
 @dataclass(frozen=True)
 class ExtensionClass:
@@ -59,9 +53,6 @@ class ExtensionClass:
 
     values_at_support: tuple
 
-    def paired_with(self, quotient: SkyscraperQuotient) -> bool:
-        return len(self.values_at_support) == quotient.support_size
-
 
 @dataclass(frozen=True)
 class PairingComponent:
@@ -72,10 +63,13 @@ class PairingComponent:
 
 @dataclass(frozen=True)
 class KilledPairingsVerdict:
-    """Why the obstruction pairing ignores the point-supported directions."""
+    """Why the obstruction pairing ignores the point-supported directions.
+
+    The reduction holds under the listed assumptions; it has no failing
+    outcome, so the record carries no verdict flag.
+    """
 
     components: tuple[PairingComponent, ...]
-    reduction_valid: bool
     assumptions: tuple[str, ...]
 
 
@@ -83,22 +77,6 @@ def ext_dims_QQ(quotient: SkyscraperQuotient) -> tuple[int, int, int]:
     """(Hom, Ext^1, Ext^2) of the quotient against itself: (l, 2l, l)."""
     l = quotient.total_length
     return (l, 2 * l, l)
-
-
-def ext_dims_QM(quotient: SkyscraperQuotient) -> tuple[int, int, int]:
-    """(Hom, Ext^1, Ext^2) of the quotient against a line bundle: (0, 0, l)."""
-    return (0, 0, quotient.total_length)
-
-
-def ext_dims_QF(quotient: SkyscraperQuotient) -> tuple[int, int]:
-    """(Ext^1, Ext^2) of the quotient against the subsheaf F.
-
-    Assumes ``F`` sits in an exact sequence ``0 -> F -> M -> Q -> 0`` with
-    ``M`` a line bundle. Then ``Ext^1(Q, F)`` matches ``Hom(Q, Q)`` and
-    ``Ext^2(Q, F)`` matches ``Ext^1(Q, Q)``.
-    """
-    l = quotient.total_length
-    return (l, 2 * l)
 
 
 def ext1_FF_decomposition(
@@ -161,11 +139,9 @@ def killed_pairings_check(quotient: SkyscraperQuotient) -> KilledPairingsVerdict
     if quotient.total_length == 0:
         return KilledPairingsVerdict(
             components=(),
-            reduction_valid=True,
             assumptions=(),
         )
     return KilledPairingsVerdict(
         components=_KILLED_COMPONENTS,
-        reduction_valid=True,
         assumptions=_ASSUMPTIONS,
     )

@@ -16,7 +16,6 @@ from .curves import (
     Curve,
     CurveLineBundle,
     Triviality,
-    canonical_degree,
     h0_h1,
 )
 from .dims import Dim
@@ -109,43 +108,33 @@ class BidegreeBundle:
         )
 
     @staticmethod
-    def canonical(surface: ProductSurface) -> "BidegreeBundle":
-        return BidegreeBundle(
-            surface,
-            (canonical_degree(surface.curve1), canonical_degree(surface.curve2)),
-            (Triviality.CANONICAL, Triviality.CANONICAL),
-        )
-
-    @staticmethod
     def of_type(surface: ProductSurface, a: int, b: int) -> "BidegreeBundle":
         """A bundle known only by its bidegree."""
         return BidegreeBundle(surface, (a, b))
 
 
-def _twist_flag(flag: Triviality, power: int, add_canonical: bool) -> Triviality:
-    """Triviality of ``L^power`` (optionally tensored with the canonical).
+def _twist_flag(flag: Triviality, power: int) -> Triviality:
+    """Triviality of ``L^power``.
 
-    Only certainties propagate: powers of a trivial bundle stay trivial and
-    its canonical twist is canonical. A known-nontrivial degree-zero bundle
-    may become trivial under powers, so nothing is claimed for it.
+    Only certainties propagate: powers of a trivial bundle stay trivial. A
+    known-nontrivial degree-zero bundle may become trivial under powers, so
+    nothing is claimed for it.
     """
     if power == 0 or flag is Triviality.TRIVIAL:
-        return Triviality.CANONICAL if add_canonical else Triviality.TRIVIAL
-    if power == 1 and not add_canonical:
+        return Triviality.TRIVIAL
+    if power == 1:
         return flag
     return Triviality.GENERIC
 
 
-def twist(bundle: BidegreeBundle, power: int, add_canonical: bool = False) -> BidegreeBundle:
-    """``L^power``, optionally tensored with the canonical bundle."""
+def twist(bundle: BidegreeBundle, power: int) -> BidegreeBundle:
+    """``L^power``."""
     a, b = bundle.bidegree
-    ka = canonical_degree(bundle.surface.curve1) if add_canonical else 0
-    kb = canonical_degree(bundle.surface.curve2) if add_canonical else 0
     ta, tb = bundle.factor_triviality
     return BidegreeBundle(
         bundle.surface,
-        (power * a + ka, power * b + kb),
-        (_twist_flag(ta, power, add_canonical), _twist_flag(tb, power, add_canonical)),
+        (power * a, power * b),
+        (_twist_flag(ta, power), _twist_flag(tb, power)),
     )
 
 
@@ -221,16 +210,3 @@ def moduli_real_dimension(c2: int, topology: SurfaceTopology) -> int:
     """Expected real dimension of the stable moduli space."""
     return 8 * c2 - 3 * (1 - topology.b1 + topology.b2_minus)
 
-
-def singular_locus_h0(bundle: BidegreeBundle) -> Dim:
-    """Section count detecting obstructed split bundles ``L + L^-1``.
-
-    Sections of the canonically twisted traceless endomorphisms split into
-    three summands: the canonical bundle itself and its two twists by
-    ``L^2`` and ``L^-2``. A nonzero total marks a singular point of the
-    moduli space.
-    """
-    k = kunneth_h(0, BidegreeBundle.canonical(bundle.surface))
-    up = kunneth_h(0, twist(bundle, 2, add_canonical=True))
-    down = kunneth_h(0, twist(bundle, -2, add_canonical=True))
-    return k + up + down

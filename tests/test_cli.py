@@ -130,6 +130,31 @@ class TestCompareReport:
         assert code == 3
         assert doc["results"]["not_established"]
 
+    def test_established_failure_beats_not_established(self, capsys):
+        # stratum (2, -2, l = 0) has an established margin 6 <= c2 = 8, which
+        # decides the verdict although four other strata are not established
+        code, doc, _ = run_json(
+            capsys,
+            "report", "compare",
+            "--g1", "0", "--g2", "3", "--c2", "8",
+            "--alpha", "1", "--beta", "1", "--bound", "6",
+        )
+        assert code == 0
+        assert doc["verdicts"]["margin_exceeds_c2"] == "false"
+        assert doc["results"]["min_margin"]["value"] == 6
+        assert doc["results"]["not_established"]
+
+    def test_excluded_entries_carry_coordinates_only(self, capsys):
+        _, doc, _ = run_json(
+            capsys,
+            "report", "compare",
+            "--g1", "0", "--g2", "0", "--c2", "2",
+            "--alpha", "1", "--beta", "1", "--bound", "4",
+        )
+        excluded = doc["results"]["excluded"]
+        assert excluded
+        assert all(set(e) == {"m", "n", "l"} for e in excluded)
+
 
 class TestUnstableReport:
     def test_family_bounds(self, capsys):
@@ -205,7 +230,6 @@ class TestOracleCommands:
         assert code == 0
         assert doc["results"]["h1"]["value"] == 3
         assert doc["results"]["h1"]["provenance"] == "oracle"
-        assert doc["stabilized"] is True
 
     def test_product(self, capsys):
         code, doc, _ = run_json(capsys, "oracle", "product", "--a", "2", "--b", "-2")
@@ -217,7 +241,6 @@ class TestOracleCommands:
         assert code == 0
         values = doc["results"]
         assert (values["hom"]["value"], values["ext1"]["value"], values["ext2"]["value"]) == (1, 2, 1)
-        assert doc["zero_differentials"] is True
 
     def test_window_too_small_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "p1", "--k", "9", "--window", "4")

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import modulidim
@@ -16,3 +18,19 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_every_traced_function_exists():
+    # bench/tracer.py wraps functions by (module, attribute) name; a rename
+    # in the package would break the traced benchmark run without this check
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("modulidim_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in tracer.TRACED
+        if not callable(getattr(importlib.import_module(f"modulidim.{module}"), attr, None))
+    ]
+    assert not missing, missing

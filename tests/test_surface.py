@@ -14,7 +14,6 @@ from modulidim.surface import (
     is_destabilizing,
     kunneth_h,
     moduli_real_dimension,
-    singular_locus_h0,
     surface_topology,
     twist,
 )
@@ -171,34 +170,11 @@ class TestChernAndTopology:
         assert moduli_real_dimension(0, surface_topology(P1P1)) == -6
 
 
-class TestSingularLocus:
-    def test_lines_mixed_type(self):
-        b = BidegreeBundle.of_type(P1P1, 1, -1)
-        assert singular_locus_h0(b) == Dim.exact(0)
-
-    def test_genus_two_square(self):
-        b = BidegreeBundle.of_type(G22, 3, -3)
-        # canonical sections contribute g1*g2, both twists die on a
-        # negative-degree factor
-        assert singular_locus_h0(b) == Dim.exact(4)
-
-    def test_trivial_bundle_gives_three_canonical_terms(self):
-        for s in (P1P1, G22, G23):
-            g1, g2 = s.genera
-            b = BidegreeBundle.structure_sheaf(s)
-            assert singular_locus_h0(b) == Dim.exact(3 * g1 * g2)
-
-
 class TestTwist:
     def test_trivial_powers_stay_trivial(self):
         o = BidegreeBundle.structure_sheaf(G22)
         sq = twist(o, 2)
         assert sq.factor_triviality == (Triviality.TRIVIAL, Triviality.TRIVIAL)
-
-    def test_canonical_twist_of_trivial_is_canonical(self):
-        o = BidegreeBundle.structure_sheaf(G22)
-        k = twist(o, 1, add_canonical=True)
-        assert k == BidegreeBundle.canonical(G22)
 
     def test_generic_twist_drops_knowledge(self):
         b = BidegreeBundle.of_type(G22, 1, -1)
@@ -207,4 +183,3 @@ class TestTwist:
             Triviality.GENERIC,
         )
         assert twist(b, 2).bidegree == (2, -2)
-        assert twist(b, -2, add_canonical=True).bidegree == (0, 4)
