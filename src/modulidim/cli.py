@@ -1,7 +1,9 @@
 """Command-line reports, sweeps, and oracle runs.
 
 Every command emits a single report document on stdout, as canonical JSON
-(sorted keys, two-space indent, integers only) or as markdown tables.
+(sorted keys, two-space indent, ASCII-escaped strings) or as markdown tables.
+The JSON writer takes only dicts with string keys, lists, strings, integers,
+booleans and null, and raises ``TypeError`` on anything else, floats included.
 Numeric result fields carry a provenance marker: ``closed-form`` for rule
 outputs, ``chi-derived`` for quantities exact only through an Euler
 characteristic, ``oracle`` for brute-force results.
@@ -20,8 +22,8 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import discrepancies
 from .dims import Dim
@@ -373,8 +375,46 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+# Scalar writers by exact type, so ``bool`` is not written as its base ``int``.
+_JSON_CONSTANTS = {False: "false", True: "true", None: "null"}.__getitem__
+_JSON_LEAVES = {
+    str: _json_string, int: int.__repr__, bool: _JSON_CONSTANTS, type(None): _JSON_CONSTANTS,
+}
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``doc`` as the exact bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+    chunks: list[str] = []
+    _write_json(doc, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(value, newline: str, chunks: list[str]) -> None:
+    """Append ``value``; ``newline`` is the line break and indent that close it."""
+    kind = type(value)
+    inner = newline + "  "
+    if kind is dict:
+        separator = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            leaf = _JSON_LEAVES.get(type(item))
+            chunks.append(f"{separator}{_json_string(key)}: {leaf(item) if leaf else ''}")
+            if leaf is None:
+                _write_json(item, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        separator = "[" + inner
+        for item in value:
+            leaf = _JSON_LEAVES.get(type(item))
+            chunks.append(separator + leaf(item) if leaf else separator)
+            if leaf is None:
+                _write_json(item, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"cannot render a {kind.__name__} as JSON")
 
 
 def _md_value(v) -> str:

@@ -1,10 +1,13 @@
+import enum
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from modulidim.cli import main, parse_sweep_config
+from modulidim.cli import main, parse_sweep_config, render_json
 
 
 def run_cli(capsys, *args):
@@ -344,7 +347,15 @@ beta = 1
 
 
 class TestDocumentContract:
-    def test_json_round_trips_byte_identically(self, capsys):
+    def test_json_round_trips_byte_identically(self, capsys, tmp_path):
+        # the sweep's rows take every status and carry intervals (genus 3,
+        # degree 2 is in the middle range); the rest cover arrays of dicts
+        # and of strings, and arrays nested in ``inputs``
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text(
+            "g1 = 2\ng2 = 3\nm_range = -1..2\nn_range = -2..1\n"
+            "l_range = 0..1\nalpha = 2\nbeta = 1\n"
+        )
         commands = [
             ("report", "toy", "--m", "2", "--n", "-3"),
             ("report", "split", "--g1", "1", "--g2", "1", "--m", "2", "--n", "-1",
@@ -352,10 +363,23 @@ class TestDocumentContract:
             ("report", "compare", "--g1", "0", "--g2", "0", "--c2", "2",
              "--alpha", "1", "--beta", "1", "--bound", "4"),
             ("oracle", "koszul", "--a", "2", "--b", "2"),
+            ("sweep", "--config", str(sweep)),
+            ("report", "nonfiltrable", "--g1", "4", "--g2", "2", "--m", "1", "--n", "-1",
+             "--alpha", "1", "--beta", "1", "--l", "3"),
+            ("report", "unstable", "--g1", "0", "--g2", "0", "--H", "1,1", "--R", "0,0",
+             "--L", "2,2", "--c2", "8"),
+            ("oracle", "product", "--a", "2", "--b", "-2"),
         ]
-        for args in commands:
-            _, out, _ = run_cli(capsys, *args)
+        outputs = [run_cli(capsys, *args)[1] for args in commands]
+        for out in outputs:
             assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+        rows = json.loads(outputs[4])["results"]["rows"]
+        assert {row["status"] for row in rows} == {
+            "ok", "not-established", "not-destabilizing", "outside-validity: needs m >= 1"
+        }
+        assert any(v["kind"] == "interval" for row in rows for v in row.values()
+                   if isinstance(v, dict) and "kind" in v)
+        assert json.loads(outputs[5])["pairing_reduction"]["components"]
 
     def test_no_floats_anywhere(self, capsys):
         _, doc, _ = run_json(
@@ -394,6 +418,44 @@ class TestDocumentContract:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "usage" in err
+
+
+# Keys and strings draw from every code point, lone surrogates included, with
+# extra weight on ASCII and on characters that need escaping: quotes,
+# backslashes, control characters, DEL, non-ASCII and astral code points.
+# Code points are drawn as integers, which needs no Unicode table, and sizes
+# stay small, so the test stays fast in a fresh checkout.
+_ESCAPED = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'
+_CHARS = (
+    st.sampled_from(_ESCAPED) | st.integers(0, 0x7F).map(chr) | st.integers(0, 0x10FFFF).map(chr)
+)
+_TEXT = st.text(_CHARS, max_size=6)
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _TEXT,
+    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=3),
+    max_leaves=8,
+)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+class TestRenderJson:
+    @given(st.dictionaries(_TEXT, _TREES, max_size=3) | st.lists(_TREES, max_size=3))
+    def test_matches_indented_json_dumps(self, tree):
+        assert render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"value": 1.0},
+        {"values": [1, {2, 3}]},
+        {"value": _Level.HIGH},
+        {"values": {1: "one"}},
+    ], ids=["float", "set", "int-enum", "int-key"])
+    def test_rejects_values_outside_the_document_types(self, doc):
+        with pytest.raises(TypeError):
+            render_json(doc)
 
 
 def test_console_entry_point():

@@ -1,9 +1,15 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import modulidim
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_assert_statements_in_library():
@@ -23,7 +29,7 @@ def test_no_assert_statements_in_library():
 def test_every_traced_function_exists():
     # bench/tracer.py wraps functions by (module, attribute) name; a rename
     # in the package would break the traced benchmark run without this check
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    path = TESTS.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("modulidim_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -34,3 +40,39 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"modulidim.{module}"), attr, None))
     ]
     assert not missing, missing
+
+
+# Runs in a ``python -O`` child from inside ``tests/golden``: every golden
+# command through ``cli.main``, printing the name of each whose stdout or exit
+# code differs from its golden file, then the number of commands run. It does
+# not import ``test_golden``, whose ``pytest`` import would triple its time.
+_GOLDEN_UNDER_O = """
+import contextlib, io, json, sys
+from pathlib import Path
+from modulidim.cli import main
+if not sys.flags.optimize:
+    sys.exit("-O is not in effect")
+commands = json.loads(Path("commands.json").read_text(encoding="utf-8"))
+for command in commands:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(command["argv"])
+    expected = Path(command["name"] + ".out").read_bytes()
+    if code != command["exit"] or out.getvalue().encode("utf-8") != expected:
+        print(command["name"])
+print(len(commands))
+"""
+
+
+def test_golden_output_under_python_O():
+    # -O strips asserts and sets __debug__ to False; no document or exit
+    # code may depend on either
+    golden = TESTS / "golden"
+    commands = json.loads((golden / "commands.json").read_text(encoding="utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(Path(modulidim.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _GOLDEN_UNDER_O],
+        cwd=golden, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(commands))]
