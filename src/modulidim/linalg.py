@@ -5,9 +5,10 @@ Elimination uses integer cross-multiplication (subtracting the pivot row
 scaled by the entry against the row scaled by the pivot, then dividing out
 the gcd), which keeps every intermediate value an integer.
 
-Two entry points: a dense routine for small matrices and a sparse routine
-keyed on dict-encoded rows for the chart complexes, whose matrices are
-large but have only a couple of nonzero entries per row.
+Every oracle ranks through the sparse routine, keyed on dict-encoded rows
+(or columns: rank is unchanged under transpose). The oracle matrices are
+large but have only a couple of nonzero entries per row. The dense routine
+is kept as an independent reference that the tests check it against.
 """
 
 from __future__ import annotations

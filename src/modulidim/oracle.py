@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import dense_rank, sparse_rank
+from .linalg import sparse_rank
 
 
 class WindowTooSmallError(ValueError):
@@ -206,21 +206,20 @@ def cech_h_product(
     return ProductCechResult(a=a, b=b, h0=h[0], h1=h[1], h2=h[2], window=N)
 
 
-def _multiplication_matrix(model: KoszulModel, dx: int, dy: int) -> list[list[int]]:
-    """Matrix of multiplication by ``x^dx y^dy`` on ``O / (x^a, y^b)``.
+def _multiplication_matrix(model: KoszulModel, dx: int, dy: int) -> list[dict[int, int]]:
+    """Multiplication by ``x^dx y^dy`` on ``O / (x^a, y^b)``, as sparse columns.
 
-    Basis monomials ``x^i y^j`` with ``i < a`` and ``j < b``; products whose
-    exponents leave the box are zero in the quotient.
+    One column ``{row: value}`` per basis monomial ``x^i y^j`` with ``i < a``
+    and ``j < b``; a product whose exponents leave the box is zero in the
+    quotient and gives an empty column.
     """
     basis = [(i, j) for i in range(model.a) for j in range(model.b)]
     index = {m: idx for idx, m in enumerate(basis)}
-    l = len(basis)
-    matrix = [[0] * l for _ in range(l)]
-    for col, (i, j) in enumerate(basis):
-        target = (i + dx, j + dy)
-        if target in index:
-            matrix[index[target]][col] = 1
-    return matrix
+    columns = []
+    for i, j in basis:
+        target = index.get((i + dx, j + dy))
+        columns.append({} if target is None else {target: 1})
+    return columns
 
 
 def koszul_ext(model: KoszulModel) -> KoszulExtResult:
@@ -229,17 +228,18 @@ def koszul_ext(model: KoszulModel) -> KoszulExtResult:
     Applying the hom functor into the quotient to the length-two resolution
     by the generators ``x^a`` and ``y^b`` produces a three-term complex whose
     differentials are the multiplication maps by those generators. Both are
-    built explicitly and must vanish identically on the quotient ring; the
-    cohomology dimensions are then ``(l, 2l, l)`` with ``l = ab``.
+    built explicitly as sparse columns and must vanish identically on the
+    quotient ring; the cohomology dimensions are then ``(l, 2l, l)`` with
+    ``l = ab``. Time and memory are linear in ``l``.
     """
     l = model.length
     mx = _multiplication_matrix(model, model.a, 0)
     my = _multiplication_matrix(model, 0, model.b)
     # First differential: v -> (y^b v, -x^a v); second: (u, w) -> x^a u + y^b w.
-    d1 = [row[:] for row in my] + [[-x for x in row] for row in mx]
-    d2 = [mx[i] + my[i] for i in range(l)]
-    rank1 = dense_rank(d1)
-    rank2 = dense_rank(d2)
+    d1 = [{**y, **{r + l: -v for r, v in x.items()}} for x, y in zip(mx, my)]
+    d2 = mx + my
+    rank1 = sparse_rank(d1)
+    rank2 = sparse_rank(d2)
     if rank1 != 0 or rank2 != 0:
         raise KoszulAssertionError(
             f"resolution differentials have ranks ({rank1}, {rank2}), expected zero"

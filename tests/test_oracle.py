@@ -1,5 +1,15 @@
-import pytest
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import modulidim
 from modulidim.curves import Curve, CurveLineBundle, h0_h1
 from modulidim.dims import Dim
 from modulidim.linalg import dense_rank, sparse_rank
@@ -9,6 +19,7 @@ from modulidim.oracle import (
     StabilizationError,
     TruncationWindow,
     WindowTooSmallError,
+    _multiplication_matrix,
     cech_h_p1,
     cech_h_product,
     koszul_ext,
@@ -16,6 +27,21 @@ from modulidim.oracle import (
 from modulidim.surface import BidegreeBundle, ProductSurface, kunneth_h
 
 P1P1 = ProductSurface.from_genera(0, 0)
+
+# Zero and non-unit entries are drawn as often as arbitrary ones, so pivots
+# that do not divide the entries below them come up in most matrices.
+_ENTRIES = st.one_of(st.just(0), st.sampled_from([-6, -4, -3, -2, 2, 3, 4, 6]), st.integers(-6, 6))
+
+
+@st.composite
+def _integer_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    zero_rows = draw(st.sets(st.integers(0, 6), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 6), max_size=2))
+    return [
+        [0 if r in zero_rows or c in zero_cols else draw(_ENTRIES) for c in range(ncols)]
+        for r in range(nrows)
+    ]
 
 
 class TestRank:
@@ -40,6 +66,16 @@ class TestRank:
         for m in matrices:
             sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
             assert sparse_rank(sparse) == dense_rank(m)
+
+    @given(_integer_matrices())
+    def test_sparse_matches_dense_on_rows_and_columns(self, m):
+        # the Koszul oracle hands sparse_rank columns, relying on rank being
+        # unchanged under transpose
+        ncols = len(m[0]) if m else 0
+        rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+        columns = [{r: row[c] for r, row in enumerate(m) if row[c]} for c in range(ncols)]
+        assert sparse_rank(rows) == dense_rank(m)
+        assert sparse_rank(columns) == dense_rank(m)
 
 
 class TestP1Oracle:
@@ -137,19 +173,45 @@ class TestKoszulOracle:
 
     def test_multiplication_matrices_really_vanish(self):
         # the generators annihilate the quotient ring basis, column by column
-        from modulidim.oracle import _multiplication_matrix
-
         model = KoszulModel(3, 2)
         for dx, dy in [(3, 0), (0, 2)]:
-            matrix = _multiplication_matrix(model, dx, dy)
-            assert all(v == 0 for row in matrix for v in row)
-        # a non-annihilating monomial produces a genuinely nonzero matrix
-        assert any(v for row in _multiplication_matrix(model, 1, 0) for v in row)
+            columns = _multiplication_matrix(model, dx, dy)
+            assert len(columns) == model.length
+            assert all(column == {} for column in columns)
+        # a non-annihilating monomial produces a genuinely nonzero column
+        assert any(_multiplication_matrix(model, 1, 0))
+
+    def test_multiplication_ranks(self):
+        # x^dx y^dy is injective on the monomials it keeps inside the box
+        # and kills the rest, so its rank counts the kept monomials
+        for a in range(1, 5):
+            for b in range(1, 5):
+                model = KoszulModel(a, b)
+                for dx in range(6):
+                    for dy in range(6):
+                        rank = sparse_rank(_multiplication_matrix(model, dx, dy))
+                        assert rank == max(0, a - dx) * max(0, b - dy), (a, b, dx, dy)
+
+    def test_large_length_runs_in_linear_memory(self):
+        # l = 90,000: dense l x l differentials would need far more than the
+        # 1 GiB address space the child gets; sparse columns fit in a few dozen MB
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(modulidim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "modulidim.cli", "oracle", "koszul", "--a", "300", "--b", "300"],
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_address_space,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        dims = [results[key]["value"] for key in ("hom", "ext1", "ext2", "length")]
+        assert dims == [90_000, 180_000, 90_000, 90_000]
 
 
 def _identity_multiplication(model, dx, dy):
-    l = model.length
-    return [[1 if i == j else 0 for j in range(l)] for i in range(l)]
+    return [{i: 1} for i in range(model.length)]
 
 
 def test_koszul_guard_trips_on_nonzero_differential(monkeypatch):
