@@ -6,8 +6,8 @@ The package computes, over exact integer arithmetic only:
   Pic-independent curves (:mod:`modulidim.curves`, :mod:`modulidim.surface`),
 * per-component deformation ledgers around split and nonfiltrable unstable
   bundles, with codimension-margin verdicts (:mod:`modulidim.kuranishi`),
-* Ext dimensions against point-supported quotients and the locally-free
-  extension criterion (:mod:`modulidim.skyscraper`),
+* Ext dimensions against point-supported quotients and the pairings they
+  kill (:mod:`modulidim.skyscraper`),
 * dimension lower bounds for families consisting only of unstable bundles
   (:mod:`modulidim.unstable`),
 * independent brute-force oracles validating the closed forms at desk
@@ -25,7 +25,6 @@ from .curves import (
     euler_characteristic,
     h0_h1,
     h0_h1_bounds,
-    h1_vanishes,
     serre_dual_degree,
 )
 from .dims import Dim, IndeterminateDimensionError
@@ -49,11 +48,9 @@ from .oracle import (
     koszul_ext,
 )
 from .skyscraper import (
-    ExtensionClass,
     SkyscraperQuotient,
     ext1_FF_decomposition,
     ext_dims_QQ,
-    is_locally_free_extension,
     killed_pairings_check,
 )
 from .surface import (
@@ -89,7 +86,6 @@ __all__ = [
     "Curve",
     "CurveLineBundle",
     "Dim",
-    "ExtensionClass",
     "IndeterminateDimensionError",
     "KoszulModel",
     "KuranishiReport",
@@ -117,11 +113,9 @@ __all__ = [
     "ext_dims_QQ",
     "h0_h1",
     "h0_h1_bounds",
-    "h1_vanishes",
     "homology_comparison_report",
     "intersection",
     "is_destabilizing",
-    "is_locally_free_extension",
     "killed_pairings_check",
     "koszul_ext",
     "kunneth_h",

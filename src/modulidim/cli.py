@@ -11,7 +11,9 @@ characteristic, ``oracle`` for brute-force results.
 Exit codes:
 
 * 0: success (including established negative verdicts),
-* 1: precondition violation or malformed usage,
+* 1: precondition violation or malformed usage, or the input needed more
+  memory than the process has; one ``modulidim: error: out of memory`` line
+  is written to stderr and nothing to stdout,
 * 2: a result was indeterminate while ``--require-exact`` was given,
 * 3: a report contains a not-established verdict (distinct from an error),
 * 4: an internal check failed: an oracle result moved between windows
@@ -420,8 +422,7 @@ def _write_json(value, newline: str, chunks: list[str]) -> None:
 def _md_value(v) -> str:
     if isinstance(v, dict):
         if v.get("kind") == "interval":
-            hi = "inf" if v["upper"] is None else str(v["upper"])
-            return f"[{v['lower']}..{hi}]"
+            return f"[{v['lower']}..{v['upper']}]"
         if "value" in v:
             return str(v["value"])
     return str(v)
@@ -654,15 +655,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = _dispatch(args)
+        if getattr(args, "require_exact", False) and _has_interval(doc):
+            code = EXIT_INDETERMINATE
+        text = render_json(doc) if args.format == "json" else render_markdown(doc)
     except (PreconditionError, ValueError, OSError) as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError:
+        print("modulidim: error: out of memory", file=sys.stderr)
         return EXIT_PRECONDITION
     except (StabilizationError, KoszulAssertionError) as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if getattr(args, "require_exact", False) and _has_interval(doc):
-        code = EXIT_INDETERMINATE
-    text = render_json(doc) if args.format == "json" else render_markdown(doc)
     sys.stdout.write(text)
     return code
 

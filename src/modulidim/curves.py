@@ -84,14 +84,6 @@ def serre_dual_degree(bundle: CurveLineBundle) -> int:
     return canonical_degree(bundle.curve) - bundle.degree
 
 
-def h1_vanishes(bundle: CurveLineBundle) -> bool:
-    """Sufficient vanishing test: degree above the canonical degree.
-
-    ``False`` means "not guaranteed by this test", not "nonzero".
-    """
-    return bundle.degree > canonical_degree(bundle.curve)
-
-
 def h0_h1_bounds(genus: int, degree: int) -> tuple[int, int, int, int]:
     """``(h0 lower, h0 upper, h1 lower, h1 upper)`` of a bundle known only
     by its genus and degree.

@@ -2,11 +2,10 @@
 
 Cohomology dimension rules sometimes pin a value exactly and sometimes only
 constrain it. :class:`Dim` represents both outcomes in one immutable value:
-an exact nonnegative integer, or an interval of candidates (possibly
-unbounded above) optionally annotated with the Euler characteristic of the
-underlying bundle. Interval arithmetic keeps derived quantities honest:
-sums and products of dimensions propagate bounds instead of guessing a
-representative.
+an exact nonnegative integer, or a finite interval of candidates optionally
+annotated with the Euler characteristic of the underlying bundle. Interval
+arithmetic keeps derived quantities honest: sums and products of dimensions
+propagate bounds instead of guessing a representative.
 """
 
 from __future__ import annotations
@@ -30,21 +29,21 @@ def _as_dim(x: "Dim | int") -> "Dim":
 class Dim:
     """A cohomology dimension: exact, or an interval of candidates.
 
-    ``lower``/``upper`` bound the value; ``upper`` is ``None`` when no finite
-    bound is known. ``chi`` optionally records the Euler characteristic of the
-    bundle the value belongs to (set by the curve rules for middle-range
-    degrees, informational). An interval that collapses to a point normalizes
-    to an exact value with no annotation, so structural equality behaves.
+    ``lower``/``upper`` are finite bounds on the value. ``chi`` optionally
+    records the Euler characteristic of the bundle the value belongs to (set
+    by the curve rules for middle-range degrees, informational). An interval
+    that collapses to a point normalizes to an exact value with no
+    annotation, so structural equality behaves.
     """
 
     lower: int
-    upper: int | None
+    upper: int
     chi: int | None = None
 
     def __post_init__(self):
         if self.lower < 0:
             raise ValueError(f"dimension lower bound must be >= 0, got {self.lower}")
-        if self.upper is not None and self.upper < self.lower:
+        if self.upper < self.lower:
             raise ValueError(f"empty dimension interval [{self.lower}, {self.upper}]")
         if self.upper == self.lower and self.chi is not None:
             object.__setattr__(self, "chi", None)
@@ -54,7 +53,7 @@ class Dim:
         return Dim(value, value)
 
     @staticmethod
-    def bounded(lower: int, upper: int | None, chi: int | None = None) -> "Dim":
+    def bounded(lower: int, upper: int, chi: int | None = None) -> "Dim":
         return Dim(lower, upper, chi)
 
     @property
@@ -70,32 +69,21 @@ class Dim:
 
     def __add__(self, other: "Dim | int") -> "Dim":
         other = _as_dim(other)
-        upper = None
-        if self.upper is not None and other.upper is not None:
-            upper = self.upper + other.upper
-        return Dim(self.lower + other.lower, upper)
+        return Dim(self.lower + other.lower, self.upper + other.upper)
 
     __radd__ = __add__
 
     def __mul__(self, other: "Dim | int") -> "Dim":
         other = _as_dim(other)
-        # A known zero annihilates even an unbounded factor. Since
-        # 0 <= lower <= upper, an upper bound of 0 is exactly a known zero.
-        if self.upper == 0 or other.upper == 0:
-            return Dim.exact(0)
-        upper = None
-        if self.upper is not None and other.upper is not None:
-            upper = self.upper * other.upper
-        return Dim(self.lower * other.lower, upper)
+        return Dim(self.lower * other.lower, self.upper * other.upper)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if self.is_exact:
             return f"Dim({self.lower})"
-        hi = "inf" if self.upper is None else str(self.upper)
         chi = "" if self.chi is None else f", chi={self.chi}"
-        return f"Dim[{self.lower}..{hi}{chi}]"
+        return f"Dim[{self.lower}..{self.upper}{chi}]"
 
     def to_doc(self, provenance: str) -> dict:
         """JSON-ready representation with a provenance marker."""

@@ -25,7 +25,7 @@ unchanged, and only the tangent dimensions and ``c2`` shift by ``l``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .curves import h0_h1_bounds
 from .dims import Dim
@@ -84,7 +84,8 @@ class NonfiltrableStratum:
 
 @dataclass(frozen=True)
 class KuranishiReport:
-    """Per-component dimension ledger for one unstable stratum."""
+    """Per-component dimension ledger for one unstable stratum: the inputs
+    and six Kunneth dimensions are stored, every other entry is derived."""
 
     g1: int
     g2: int
@@ -94,24 +95,68 @@ class KuranishiReport:
     beta: int
     q_length: int
     t_u: Dim
-    t_o: Dim
     t_s: Dim
     comp_i_target: Dim
-    comp_ii_target: Dim
     comp_iii_target: Dim
     codim: Dim
     equations: Dim
-    nu1: int
-    nu1_stated: int
-    chi2: int
-    margin: int
-    margin_stated: int
-    c2: int
-    margin_exceeds_c2: bool
-    margin_established: bool
-    t_u_established: bool
-    unavoidable_equations: int
-    pairing_reduction: KilledPairingsVerdict
+
+    @property
+    def t_o(self) -> Dim:
+        """Ext^1(F, F): ``2l`` point-supported directions plus ``h^1(O) = g1 + g2``."""
+        gamma_part, h1_part = ext1_FF_decomposition(
+            SkyscraperQuotient.of_length(self.q_length), self.g1 + self.g2
+        )
+        return Dim.exact(gamma_part + h1_part)
+
+    @property
+    def comp_ii_target(self) -> Dim:
+        return Dim.exact(self.unavoidable_equations)
+
+    @property
+    def unavoidable_equations(self) -> int:
+        return self.g1 * self.g2
+
+    @property
+    def nu1(self) -> int:
+        return 2 * self.m + self.g1 - 1
+
+    @property
+    def nu1_stated(self) -> int:
+        return 2 * self.m - self.g1 + 1
+
+    @property
+    def chi2(self) -> int:
+        return -2 * self.n - self.g2 + 1
+
+    @property
+    def margin(self) -> int:
+        return self.nu1 * self.chi2
+
+    @property
+    def margin_stated(self) -> int:
+        return self.nu1_stated * self.chi2
+
+    @property
+    def c2(self) -> int:
+        return c2_of_extension((self.m, self.n), (-self.m, -self.n), self.q_length)
+
+    @property
+    def margin_exceeds_c2(self) -> bool:
+        return self.margin > self.c2
+
+    @property
+    def margin_established(self) -> bool:
+        return self.chi2 > 0
+
+    @property
+    def t_u_established(self) -> bool:
+        """The shifted ``t_u`` is exact when ``h^2`` of the square vanishes."""
+        return self.q_length == 0 or self.comp_i_target.upper == 0
+
+    @property
+    def pairing_reduction(self) -> KilledPairingsVerdict:
+        return killed_pairings_check(SkyscraperQuotient.of_length(self.q_length))
 
 
 @dataclass(frozen=True)
@@ -192,30 +237,23 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
     is exact unconditionally; it is only meaningful (established) when the
     Euler characteristic of the second-factor inverse square is positive.
 
-    Every field comes from four evaluations of the generic curve rule
-    (:func:`modulidim.curves.h0_h1_bounds`), at degrees ``2m`` and ``-2m``
-    on the first factor and ``2n`` and ``-2n`` on the second, combined by
-    Kunneth products and sums of integer bounds. The structure sheaf
-    contributes ``t_o = g1 + g2`` and ``h^2 = g1 g2``. The values equal
-    those of :func:`modulidim.surface.kunneth_h` on the twists of ``L``;
-    no bundle objects are built.
+    The six stored dimensions come from four evaluations of the generic
+    curve rule (:func:`modulidim.curves.h0_h1_bounds`), at degrees ``2m``
+    and ``-2m`` on the first factor and ``2n`` and ``-2n`` on the second,
+    combined by Kunneth products and sums of integer bounds. They equal
+    :func:`modulidim.surface.kunneth_h` on the twists of ``L``; no bundle
+    objects are built. The rest of the ledger is derived from them.
     """
     if stratum.m < 1:
         raise PreconditionError(f"the ledger requires m >= 1, got m = {stratum.m}")
-    surface = stratum.surface
-    surface.require_pic_independent()
-    g1, g2 = surface.genera
+    g1, g2 = stratum.surface.genera
     m, n = stratum.m, stratum.n
 
     square1 = h0_h1_bounds(g1, 2 * m)
     square2 = h0_h1_bounds(g2, 2 * n)
     inverse1 = h0_h1_bounds(g1, -2 * m)
     inverse2 = h0_h1_bounds(g2, -2 * n)
-    nu1 = 2 * m + g1 - 1
-    chi2 = -2 * n - g2 + 1
-
-    margin = nu1 * chi2
-    c2 = c2_of_extension((m, n), (-m, -n), 0)
+    nu1 = inverse1[2]  # exact: no sections in negative degree
     return KuranishiReport(
         g1=g1,
         g2=g2,
@@ -225,24 +263,11 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
         beta=stratum.polarization.beta,
         q_length=0,
         t_u=_h1_product(square1, square2),
-        t_o=Dim.exact(g1 + g2),
         t_s=_h1_product(inverse1, inverse2),
         comp_i_target=_h2_product(square1, square2),
-        comp_ii_target=Dim.exact(g1 * g2),
         comp_iii_target=_h2_product(inverse1, inverse2),
         codim=Dim(nu1 * inverse2[0], nu1 * inverse2[1]),
         equations=Dim(nu1 * inverse2[2], nu1 * inverse2[3]),
-        nu1=nu1,
-        nu1_stated=2 * m - g1 + 1,
-        chi2=chi2,
-        margin=margin,
-        margin_stated=(2 * m - g1 + 1) * chi2,
-        c2=c2,
-        margin_exceeds_c2=margin > c2,
-        margin_established=chi2 > 0,
-        t_u_established=True,
-        unavoidable_equations=g1 * g2,
-        pairing_reduction=killed_pairings_check(SkyscraperQuotient()),
     )
 
 
@@ -256,14 +281,11 @@ def nonfiltrable_report(stratum: NonfiltrableStratum) -> KuranishiReport:
 def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
     """The nonfiltrable ledger with quotient length ``l`` over a split ledger.
 
-    The margin data is inherited from the split stratum; the tangent
-    dimensions shift by the quotient length and ``c2`` grows by it. The
-    shifted ``t_u`` count is exact only when the second cohomology of the
-    square vanishes; otherwise the report carries the honest interval from
-    the connecting sequence and flags the formula as not established.
-
-    The split ledger does not depend on ``l``, so a caller walking several
-    lengths over one stratum computes it once and shifts it per length.
+    Of the stored entries only ``t_u`` and ``t_s`` depend on ``l``; the
+    derived ones (``t_o``, ``c2``, the verdicts) follow from the new
+    ``q_length``, and the margin is unchanged. The split ledger does not
+    depend on ``l``, so a caller walking several lengths over one stratum
+    computes it once and shifts it per length.
     """
     if l < 0:
         raise PreconditionError("q_length must be >= 0")
@@ -272,34 +294,24 @@ def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
     if l == 0:
         return split
 
-    quotient = SkyscraperQuotient.of_length(l)
-    gamma_part, h1_part = ext1_FF_decomposition(quotient, split.g1 + split.g2)
-    t_o = Dim.exact(h1_part + gamma_part)
-    t_s = split.t_s + l
-
-    h2_square = split.comp_i_target
-    if h2_square.upper == 0:
-        t_u = split.t_u + l
-        t_u_established = True
-    else:
-        # Exactness pins t_u between h1 of the square plus the part of the
-        # length not absorbed by h2, and h1 plus the full length.
-        absorbed = l if h2_square.upper is None else min(l, h2_square.upper)
-        upper = None if split.t_u.upper is None else split.t_u.upper + l
-        t_u = Dim.bounded(split.t_u.lower + l - absorbed, upper)
-        t_u_established = False
-
-    c2 = split.c2 + l
-    return replace(
-        split,
+    # Exactness pins t_u between h1 of the square plus the part of the
+    # length not absorbed by h2 of the square, and h1 plus the full length;
+    # it stays exact (t_u_established) when that h2 vanishes.
+    absorbed = min(l, split.comp_i_target.upper)
+    return KuranishiReport(
+        g1=split.g1,
+        g2=split.g2,
+        m=split.m,
+        n=split.n,
+        alpha=split.alpha,
+        beta=split.beta,
         q_length=l,
-        t_u=t_u,
-        t_o=t_o,
-        t_s=t_s,
-        c2=c2,
-        margin_exceeds_c2=split.margin > c2,
-        t_u_established=t_u_established,
-        pairing_reduction=killed_pairings_check(quotient),
+        t_u=Dim(split.t_u.lower + l - absorbed, split.t_u.upper + l),
+        t_s=split.t_s + l,
+        comp_i_target=split.comp_i_target,
+        comp_iii_target=split.comp_iii_target,
+        codim=split.codim,
+        equations=split.equations,
     )
 
 
@@ -346,9 +358,7 @@ def _oriented_report(
     if orientation == "standard":
         split = SplitStratum(surface, m, n, w)
     else:
-        swapped_surface = ProductSurface(
-            surface.curve2, surface.curve1, surface.pic_independent
-        )
+        swapped_surface = ProductSurface(surface.curve2, surface.curve1)
         split = SplitStratum(swapped_surface, n, m, Polarization(w.beta, w.alpha))
     return nonfiltrable_report(NonfiltrableStratum(split, l))
 
@@ -370,7 +380,6 @@ def homology_comparison_report(
         raise PreconditionError(f"c2 must be >= 1, got {c2}")
     if bound < 1:
         raise PreconditionError(f"the enumeration bound must be >= 1, got {bound}")
-    surface.require_pic_independent()
 
     mixed, excluded = enumerate_strata(surface, w, c2, bound)
     outcomes = []

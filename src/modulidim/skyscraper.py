@@ -44,17 +44,6 @@ class SkyscraperQuotient:
 
 
 @dataclass(frozen=True)
-class ExtensionClass:
-    """An extension class seen through its values at the support points.
-
-    The class of an extension of ``F`` by a line bundle lands in a space
-    identified with one scalar per support point of ``Q``.
-    """
-
-    values_at_support: tuple
-
-
-@dataclass(frozen=True)
 class PairingComponent:
     pairing: str
     killed: bool
@@ -92,15 +81,6 @@ def ext1_FF_decomposition(
     if h1_structure < 0:
         raise ValueError("h1 of the structure sheaf must be >= 0")
     return (2 * quotient.total_length, h1_structure)
-
-
-def is_locally_free_extension(cls: ExtensionClass) -> bool:
-    """Whether an extension with this class is a vector bundle.
-
-    The criterion is that the class be nonzero at every support point; with
-    empty support every extension of line bundles is locally free.
-    """
-    return all(v != 0 for v in cls.values_at_support)
 
 
 _KILLED_COMPONENTS = (

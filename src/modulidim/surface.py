@@ -40,21 +40,14 @@ class ProductSurface:
 
     curve1: Curve
     curve2: Curve
-    pic_independent: bool = True
 
     @staticmethod
-    def from_genera(g1: int, g2: int, pic_independent: bool = True) -> "ProductSurface":
-        return ProductSurface(Curve(g1), Curve(g2), pic_independent)
+    def from_genera(g1: int, g2: int) -> "ProductSurface":
+        return ProductSurface(Curve(g1), Curve(g2))
 
     @property
     def genera(self) -> Pair:
         return (self.curve1.genus, self.curve2.genus)
-
-    def require_pic_independent(self):
-        if not self.pic_independent:
-            raise PreconditionError(
-                "bidegree arithmetic requires the Pic-independence flag"
-            )
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,6 @@ def kunneth_h(q: int, bundle: BidegreeBundle) -> Dim:
     """
     if q not in (0, 1, 2):
         raise PreconditionError(f"cohomology degree must be 0, 1 or 2, got {q}")
-    bundle.surface.require_pic_independent()
     f1, f2 = bundle.factors()
     h0a, h1a = h0_h1(f1)
     h0b, h1b = h0_h1(f2)

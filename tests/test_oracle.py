@@ -210,6 +210,24 @@ class TestKoszulOracle:
         assert dims == [90_000, 180_000, 90_000, 90_000]
 
 
+def test_out_of_memory_exits_one_with_one_line():
+    # a window of 10^8 + 1 monomials outgrows a 256 MiB address space; the
+    # MemoryError becomes one error line and exit 1, with no traceback
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = str(Path(modulidim.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "modulidim.cli", "oracle", "p1", "--k", "100000000"],
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_address_space,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "modulidim: error: out of memory\n"
+    assert "Traceback" not in proc.stderr
+
+
 def _identity_multiplication(model, dx, dy):
     return [{i: 1} for i in range(model.length)]
 

@@ -2,11 +2,9 @@ import pytest
 
 from modulidim.oracle import KoszulModel, koszul_ext
 from modulidim.skyscraper import (
-    ExtensionClass,
     SkyscraperQuotient,
     ext1_FF_decomposition,
     ext_dims_QQ,
-    is_locally_free_extension,
     killed_pairings_check,
 )
 
@@ -29,14 +27,6 @@ def test_ext_dims_QQ(l, expected):
 )
 def test_ext1_FF_decomposition(l, h1, expected):
     assert ext1_FF_decomposition(SkyscraperQuotient.of_length(l), h1) == expected
-
-
-@pytest.mark.parametrize(
-    "values,expected",
-    [((1, 2, 3), True), ((1, 0), False), ((), True)],
-)
-def test_is_locally_free_extension(values, expected):
-    assert is_locally_free_extension(ExtensionClass(values)) is expected
 
 
 def test_killed_pairings():

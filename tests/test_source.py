@@ -40,6 +40,8 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"modulidim.{module}"), attr, None))
     ]
     assert not missing, missing
+    # Tracer.__enter__ also wraps Dim.__post_init__ to count constructions
+    assert callable(getattr(modulidim.Dim, "__post_init__", None))
 
 
 # Runs in a ``python -O`` child from inside ``tests/golden``: every golden

@@ -48,11 +48,6 @@ class TestKunneth:
         with pytest.raises(PreconditionError):
             kunneth_h(3, BidegreeBundle.structure_sheaf(P1P1))
 
-    def test_requires_pic_independence(self):
-        s = ProductSurface.from_genera(1, 1, pic_independent=False)
-        with pytest.raises(PreconditionError):
-            kunneth_h(0, BidegreeBundle.structure_sheaf(s))
-
     def test_factor_symmetry(self):
         for g1, g2 in [(0, 0), (0, 2), (2, 3)]:
             s = ProductSurface.from_genera(g1, g2)
