@@ -31,7 +31,6 @@ from .dims import Dim, IndeterminateDimensionError
 from .kuranishi import (
     ComparisonReport,
     KuranishiReport,
-    NonfiltrableStratum,
     SplitStratum,
     component_report,
     homology_comparison_report,
@@ -42,13 +41,11 @@ from .kuranishi import (
 )
 from .oracle import (
     KoszulModel,
-    TruncationWindow,
     cech_h_p1,
     cech_h_product,
     koszul_ext,
 )
 from .skyscraper import (
-    SkyscraperQuotient,
     ext1_FF_decomposition,
     ext_dims_QQ,
     killed_pairings_check,
@@ -89,15 +86,12 @@ __all__ = [
     "IndeterminateDimensionError",
     "KoszulModel",
     "KuranishiReport",
-    "NonfiltrableStratum",
     "Polarization",
     "PreconditionError",
     "ProductSurface",
     "SelectedTwist",
-    "SkyscraperQuotient",
     "SplitStratum",
     "SurfaceTopology",
-    "TruncationWindow",
     "Triviality",
     "UnstableFamilySpec",
     "ValidationVerdict",

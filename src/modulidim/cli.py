@@ -11,9 +11,11 @@ characteristic, ``oracle`` for brute-force results.
 Exit codes:
 
 * 0: success (including established negative verdicts),
-* 1: precondition violation or malformed usage, or the input needed more
-  memory than the process has; one ``modulidim: error: out of memory`` line
-  is written to stderr and nothing to stdout,
+* 1: precondition violation or malformed usage; an integer input too large
+  to compute with (``OverflowError``, such as a range whose length does not
+  fit in a machine word); or the input needed more memory than the process
+  has (``modulidim: error: out of memory``). Nothing is written to stdout,
+  and stderr ends with one ``modulidim: error:`` line,
 * 2: a result was indeterminate while ``--require-exact`` was given,
 * 3: a report contains a not-established verdict (distinct from an error),
 * 4: an internal check failed: an oracle result moved between windows
@@ -32,7 +34,6 @@ from .dims import Dim
 from .kuranishi import (
     ComparisonReport,
     KuranishiReport,
-    NonfiltrableStratum,
     SplitStratum,
     component_report,
     homology_comparison_report,
@@ -45,7 +46,6 @@ from .oracle import (
     KoszulAssertionError,
     KoszulModel,
     StabilizationError,
-    TruncationWindow,
     cech_h_p1,
     cech_h_product,
     koszul_ext,
@@ -60,7 +60,7 @@ from .surface import (
     moduli_real_dimension,
     surface_topology,
 )
-from .unstable import UnstableFamilySpec, dim_lower_bound, q_length, select_twist, validate
+from .unstable import UnstableFamilySpec, q_length, select_twist, validate
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -125,7 +125,7 @@ def _kuranishi_doc(command: str, report: KuranishiReport) -> dict:
         },
         "pairing_reduction": {
             "components": [
-                {"pairing": c.pairing, "killed": c.killed, "reason": c.reason}
+                {"pairing": c.pairing, "reason": c.reason}
                 for c in report.pairing_reduction.components
             ],
             "assumptions": list(report.pairing_reduction.assumptions),
@@ -212,17 +212,18 @@ def _unstable_doc(args) -> tuple[dict, int]:
             raise PreconditionError("--select-t requires --a")
         selected = select_twist(surface, args.H, args.R, args.c2, args.a)
         family = selected.family
+        points = q_length(family)
         h2 = intersection(args.H, args.H)
         hr = intersection(args.H, args.R)
         doc["inputs"]["a"] = args.a
         doc["results"] = {
             "t": _pv(selected.t, "closed-form"),
             "L": list(family.sub),
-            "q_length": _pv(q_length(family), "closed-form"),
-            "dim_lower_bound": _pv(dim_lower_bound(family), "closed-form"),
+            "q_length": _pv(points, "closed-form"),
+            "dim_lower_bound": _pv(2 * points, "closed-form"),
             "target": _pv(2 * args.a, "closed-form"),
         }
-        doc["verdicts"] = {"bound_met": dim_lower_bound(family) >= 2 * args.a}
+        doc["verdicts"] = {"bound_met": 2 * points >= 2 * args.a}
         doc["discrepancy_ledger"] = [
             discrepancies.twist_inequality_entry(h2, hr, args.c2, args.a, selected.t)
         ]
@@ -239,9 +240,10 @@ def _unstable_doc(args) -> tuple[dict, int]:
     ]
     doc["assumptions"] = list(verdict.assumptions)
     if verdict.passed:
+        points = q_length(family)
         doc["results"] = {
-            "q_length": _pv(q_length(family), "closed-form"),
-            "dim_lower_bound": _pv(dim_lower_bound(family), "closed-form"),
+            "q_length": _pv(points, "closed-form"),
+            "dim_lower_bound": _pv(2 * points, "closed-form"),
         }
         doc["verdicts"] = {"family_admissible": "pass"}
     else:
@@ -257,8 +259,7 @@ def _unstable_doc(args) -> tuple[dict, int]:
 
 
 def _oracle_p1_doc(args) -> dict:
-    window = TruncationWindow(args.window) if args.window else None
-    r = cech_h_p1(args.k, window)
+    r = cech_h_p1(args.k, args.window or None)
     return {
         "command": "oracle p1",
         "inputs": {"k": args.k, "window": r.window},
@@ -267,8 +268,7 @@ def _oracle_p1_doc(args) -> dict:
 
 
 def _oracle_product_doc(args) -> dict:
-    window = TruncationWindow(args.window) if args.window else None
-    r = cech_h_product(args.a, args.b, window)
+    r = cech_h_product(args.a, args.b, args.window or None)
     return {
         "command": "oracle product",
         "inputs": {"a": args.a, "b": args.b, "window": r.window},
@@ -312,7 +312,11 @@ def _parse_range(text: str) -> list[int]:
 
 
 def parse_sweep_config(text: str) -> dict:
-    """Flat ``key = value`` grid; ranges written ``lo..hi`` inclusive."""
+    """Flat ``key = value`` grid; ranges written ``lo..hi`` inclusive.
+
+    Every key appears exactly once, and ``l_range`` holds quotient lengths,
+    which are nonnegative.
+    """
     config: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -323,10 +327,14 @@ def parse_sweep_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SWEEP_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in config:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
         if key.endswith("_range"):
             config[key] = _parse_range(value)
         else:
             config[key] = int(value)
+        if key == "l_range" and config[key][0] < 0:
+            raise ValueError(f"line {lineno}: l_range holds quotient lengths; q_length must be >= 0")
     missing = _SWEEP_KEYS - config.keys()
     if missing:
         raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
@@ -616,7 +624,7 @@ def _dispatch(args) -> tuple[dict, int]:
             w = Polarization(args.alpha, args.beta)
             stratum = SplitStratum(surface, args.m, args.n, w)
             l = args.l if args.report_kind == "nonfiltrable" else 0
-            report = nonfiltrable_report(NonfiltrableStratum(stratum, l))
+            report = nonfiltrable_report(stratum, l)
             doc = _kuranishi_doc(f"report {args.report_kind}", report)
             code = EXIT_OK if report.margin_established else EXIT_NOT_ESTABLISHED
             return doc, code
@@ -658,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "require_exact", False) and _has_interval(doc):
             code = EXIT_INDETERMINATE
         text = render_json(doc) if args.format == "json" else render_markdown(doc)
-    except (PreconditionError, ValueError, OSError) as exc:
+    except (PreconditionError, ValueError, OverflowError, OSError) as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MemoryError:

@@ -11,10 +11,11 @@ Three classical facts drive everything here:
 
 Degrees in the middle range ``0 <= d <= 2g - 2`` are not determined by
 ``(g, d)`` alone. Rather than guess, :func:`h0_h1` returns an interval
-there, carrying the exact Euler characteristic. The only middle-range
-bundles with pinned dimensions are the ones the caller declares: the
-structure sheaf, a known-nontrivial degree-zero bundle, or the canonical
-bundle.
+there. The Euler characteristic stays exact, so quantities that depend on
+a bundle only through it (the margins of :mod:`modulidim.kuranishi`) are
+computed exactly. The only middle-range bundles with pinned dimensions are
+the ones the caller declares: the structure sheaf, a known-nontrivial
+degree-zero bundle, or the canonical bundle.
 """
 
 from __future__ import annotations
@@ -117,8 +118,7 @@ def h0_h1(bundle: CurveLineBundle) -> tuple[Dim, Dim]:
 
     The flag rules 3-5 apply only in the middle range ``0 <= d <= 2g - 2``
     that rules 1 and 2 leave open. Rules 1, 2 and 6 are defined once, in
-    :func:`h0_h1_bounds`; here their bounds become :class:`Dim` values, and
-    the intervals of rule 6 carry the Euler characteristic.
+    :func:`h0_h1_bounds`; here their bounds become :class:`Dim` values.
 
     For genus 0 the first two rules cover every degree, reproducing the
     familiar closed form ``h0 = k + 1`` for ``k >= 0`` and
@@ -134,8 +134,4 @@ def h0_h1(bundle: CurveLineBundle) -> tuple[Dim, Dim]:
         if d == 0 and bundle.triviality is Triviality.NONTRIVIAL_DEGREE_ZERO:
             return Dim.exact(0), Dim.exact(g - 1)
     h0_lower, h0_upper, h1_lower, h1_upper = h0_h1_bounds(g, d)
-    chi = d - g + 1
-    return (
-        Dim.bounded(h0_lower, h0_upper, chi=chi),
-        Dim.bounded(h1_lower, h1_upper, chi=chi),
-    )
+    return Dim(h0_lower, h0_upper), Dim(h1_lower, h1_upper)

@@ -2,8 +2,7 @@
 
 Cohomology dimension rules sometimes pin a value exactly and sometimes only
 constrain it. :class:`Dim` represents both outcomes in one immutable value:
-an exact nonnegative integer, or a finite interval of candidates optionally
-annotated with the Euler characteristic of the underlying bundle. Interval
+an exact nonnegative integer, or a finite interval of candidates. Interval
 arithmetic keeps derived quantities honest: sums and products of dimensions
 propagate bounds instead of guessing a representative.
 """
@@ -29,32 +28,22 @@ def _as_dim(x: "Dim | int") -> "Dim":
 class Dim:
     """A cohomology dimension: exact, or an interval of candidates.
 
-    ``lower``/``upper`` are finite bounds on the value. ``chi`` optionally
-    records the Euler characteristic of the bundle the value belongs to (set
-    by the curve rules for middle-range degrees, informational). An interval
-    that collapses to a point normalizes to an exact value with no
-    annotation, so structural equality behaves.
+    ``lower``/``upper`` are finite bounds on the value; equal bounds make it
+    exact.
     """
 
     lower: int
     upper: int
-    chi: int | None = None
 
     def __post_init__(self):
         if self.lower < 0:
             raise ValueError(f"dimension lower bound must be >= 0, got {self.lower}")
         if self.upper < self.lower:
             raise ValueError(f"empty dimension interval [{self.lower}, {self.upper}]")
-        if self.upper == self.lower and self.chi is not None:
-            object.__setattr__(self, "chi", None)
 
     @staticmethod
     def exact(value: int) -> "Dim":
         return Dim(value, value)
-
-    @staticmethod
-    def bounded(lower: int, upper: int, chi: int | None = None) -> "Dim":
-        return Dim(lower, upper, chi)
 
     @property
     def is_exact(self) -> bool:
@@ -82,8 +71,7 @@ class Dim:
     def __repr__(self) -> str:
         if self.is_exact:
             return f"Dim({self.lower})"
-        chi = "" if self.chi is None else f", chi={self.chi}"
-        return f"Dim[{self.lower}..{self.upper}{chi}]"
+        return f"Dim[{self.lower}..{self.upper}]"
 
     def to_doc(self, provenance: str) -> dict:
         """JSON-ready representation with a provenance marker."""
@@ -93,6 +81,5 @@ class Dim:
             "kind": "interval",
             "lower": self.lower,
             "upper": self.upper,
-            "chi": self.chi,
             "provenance": provenance,
         }

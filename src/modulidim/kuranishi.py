@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 from .curves import h0_h1_bounds
 from .dims import Dim
-from .skyscraper import (
-    KilledPairingsVerdict,
-    SkyscraperQuotient,
-    ext1_FF_decomposition,
-    killed_pairings_check,
-)
+from .skyscraper import KilledPairingsVerdict, ext1_FF_decomposition, killed_pairings_check
 from .surface import (
     Polarization,
     PreconditionError,
@@ -67,25 +62,9 @@ class SplitStratum:
 
 
 @dataclass(frozen=True)
-class NonfiltrableStratum:
-    """Extensions of a rank-1 torsion-free sheaf by the destabilizing bundle.
-
-    ``q_length`` is the total length of the point-supported quotient; zero
-    recovers the split stratum.
-    """
-
-    split: SplitStratum
-    q_length: int = 0
-
-    def __post_init__(self):
-        if self.q_length < 0:
-            raise PreconditionError("q_length must be >= 0")
-
-
-@dataclass(frozen=True)
 class KuranishiReport:
     """Per-component dimension ledger for one unstable stratum: the inputs
-    and six Kunneth dimensions are stored, every other entry is derived."""
+    and four Kunneth dimensions are stored, every other entry is derived."""
 
     g1: int
     g2: int
@@ -95,18 +74,27 @@ class KuranishiReport:
     beta: int
     q_length: int
     t_u: Dim
-    t_s: Dim
     comp_i_target: Dim
-    comp_iii_target: Dim
     codim: Dim
     equations: Dim
+
+    # With m >= 1 the first-factor inverse square has no sections, so the
+    # Kunneth h^1 and h^2 of the inverse square are nu1 times the second
+    # factor's h^0 and h^1: ``codim`` and ``equations``.
+    @property
+    def t_s(self) -> Dim:
+        """h^1 of the inverse square plus the quotient length."""
+        return self.codim + self.q_length
+
+    @property
+    def comp_iii_target(self) -> Dim:
+        """h^2 of the inverse square."""
+        return self.equations
 
     @property
     def t_o(self) -> Dim:
         """Ext^1(F, F): ``2l`` point-supported directions plus ``h^1(O) = g1 + g2``."""
-        gamma_part, h1_part = ext1_FF_decomposition(
-            SkyscraperQuotient.of_length(self.q_length), self.g1 + self.g2
-        )
+        gamma_part, h1_part = ext1_FF_decomposition(self.q_length, self.g1 + self.g2)
         return Dim.exact(gamma_part + h1_part)
 
     @property
@@ -156,7 +144,7 @@ class KuranishiReport:
 
     @property
     def pairing_reduction(self) -> KilledPairingsVerdict:
-        return killed_pairings_check(SkyscraperQuotient.of_length(self.q_length))
+        return killed_pairings_check(self.q_length)
 
 
 @dataclass(frozen=True)
@@ -237,7 +225,7 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
     is exact unconditionally; it is only meaningful (established) when the
     Euler characteristic of the second-factor inverse square is positive.
 
-    The six stored dimensions come from four evaluations of the generic
+    The four stored dimensions come from four evaluations of the generic
     curve rule (:func:`modulidim.curves.h0_h1_bounds`), at degrees ``2m``
     and ``-2m`` on the first factor and ``2n`` and ``-2n`` on the second,
     combined by Kunneth products and sums of integer bounds. They equal
@@ -263,26 +251,26 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
         beta=stratum.polarization.beta,
         q_length=0,
         t_u=_h1_product(square1, square2),
-        t_s=_h1_product(inverse1, inverse2),
         comp_i_target=_h2_product(square1, square2),
-        comp_iii_target=_h2_product(inverse1, inverse2),
         codim=Dim(nu1 * inverse2[0], nu1 * inverse2[1]),
         equations=Dim(nu1 * inverse2[2], nu1 * inverse2[3]),
     )
 
 
-def nonfiltrable_report(stratum: NonfiltrableStratum) -> KuranishiReport:
-    """Dimension ledger around a nonfiltrable bundle: the split ledger of
-    the underlying stratum (:func:`component_report`), shifted by the
-    quotient length (:func:`shift_by_length`)."""
-    return shift_by_length(component_report(stratum.split), stratum.q_length)
+def nonfiltrable_report(split: SplitStratum, l: int) -> KuranishiReport:
+    """Dimension ledger around a nonfiltrable bundle: an extension of a
+    rank-1 torsion-free sheaf by the destabilizing bundle of ``split``, whose
+    point-supported quotient has total length ``l``. It is the split ledger
+    (:func:`component_report`) shifted by ``l`` (:func:`shift_by_length`);
+    ``l = 0`` gives the split ledger itself."""
+    return shift_by_length(component_report(split), l)
 
 
 def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
     """The nonfiltrable ledger with quotient length ``l`` over a split ledger.
 
-    Of the stored entries only ``t_u`` and ``t_s`` depend on ``l``; the
-    derived ones (``t_o``, ``c2``, the verdicts) follow from the new
+    Of the stored entries only ``t_u`` depends on ``l``; the derived ones
+    (``t_o``, ``t_s``, ``c2``, the verdicts) follow from the new
     ``q_length``, and the margin is unchanged. The split ledger does not
     depend on ``l``, so a caller walking several lengths over one stratum
     computes it once and shifts it per length.
@@ -307,9 +295,7 @@ def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
         beta=split.beta,
         q_length=l,
         t_u=Dim(split.t_u.lower + l - absorbed, split.t_u.upper + l),
-        t_s=split.t_s + l,
         comp_i_target=split.comp_i_target,
-        comp_iii_target=split.comp_iii_target,
         codim=split.codim,
         equations=split.equations,
     )
@@ -360,7 +346,7 @@ def _oriented_report(
     else:
         swapped_surface = ProductSurface(surface.curve2, surface.curve1)
         split = SplitStratum(swapped_surface, n, m, Polarization(w.beta, w.alpha))
-    return nonfiltrable_report(NonfiltrableStratum(split, l))
+    return nonfiltrable_report(split, l)
 
 
 def homology_comparison_report(

@@ -37,17 +37,6 @@ class KoszulAssertionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TruncationWindow:
-    """Monomial exponents are restricted to ``[-N, N]``."""
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("window size must be >= 1")
-
-
-@dataclass(frozen=True)
 class P1CechResult:
     k: int
     h0: int
@@ -114,18 +103,19 @@ def _p1_dims(k: int, N: int) -> tuple[int, int]:
     return n0 - rank, n1 - rank
 
 
-def cech_h_p1(k: int, window: TruncationWindow | None = None) -> P1CechResult:
+def cech_h_p1(k: int, N: int | None = None) -> P1CechResult:
     """Cohomology of the degree-k twisting sheaf on the projective line.
 
-    Builds the two-chart complex with window-truncated monomial bases and
-    computes exact kernel and cokernel ranks. Requires ``N >= |k| + 2`` so
-    that the window contains every true cohomology class.
+    Builds the two-chart complex with monomial exponents truncated to the
+    window ``[-N, N]`` and computes exact kernel and cokernel ranks.
+    Requires ``N >= |k| + 2``, the default, so that the window contains
+    every true cohomology class.
     """
-    if window is None:
-        window = TruncationWindow(abs(k) + 2)
-    N = window.N
-    if N < abs(k) + 2:
-        raise WindowTooSmallError(f"need N >= {abs(k) + 2} for degree {k}, got {N}")
+    need = abs(k) + 2
+    if N is None:
+        N = need
+    if N < need:
+        raise WindowTooSmallError(f"need N >= {need} for degree {k}, got {N}")
     h = _p1_dims(k, N)
     if h != _p1_dims(k, N + 1):
         raise StabilizationError(f"degree {k} not stabilized at window {N}")
@@ -187,17 +177,15 @@ def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
     return h0, h1, h2
 
 
-def cech_h_product(
-    a: int, b: int, window: TruncationWindow | None = None
-) -> ProductCechResult:
+def cech_h_product(a: int, b: int, N: int | None = None) -> ProductCechResult:
     """Cohomology of the bidegree-(a, b) sheaf on a product of two lines.
 
-    Requires ``N >= max(|a|, |b|) + 2``.
+    Exponents are truncated to ``[-N, N]``; requires
+    ``N >= max(|a|, |b|) + 2``, the default.
     """
     need = max(abs(a), abs(b)) + 2
-    if window is None:
-        window = TruncationWindow(need)
-    N = window.N
+    if N is None:
+        N = need
     if N < need:
         raise WindowTooSmallError(f"need N >= {need} for bidegree ({a}, {b}), got {N}")
     h = _product_dims(a, b, N)

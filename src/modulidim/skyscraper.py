@@ -5,7 +5,10 @@ supported at finitely many points, each a local complete intersection) has
 self-Ext dimensions ``(l, 2l, l)`` that depend only on its total length
 ``l``. The self-Ext of the kernel ``F`` of a surjection from a line bundle
 onto ``Q`` splits into a point-supported part of dimension ``2l`` and the
-first cohomology of the structure sheaf.
+first cohomology of the structure sheaf. The functions here therefore take
+the quotient as its total length ``l``; a length is checked to be
+nonnegative where a ledger is shifted by it
+(:func:`modulidim.kuranishi.shift_by_length`).
 
 The Koszul oracle (:mod:`modulidim.oracle`) recomputes the self-Ext counts
 from an explicit resolution for monomial complete intersections, which is
@@ -18,35 +21,10 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class SkyscraperQuotient:
-    """A finite-length quotient recorded by its per-point local lengths.
-
-    The empty tuple is the zero sheaf. Each support point is assumed to be
-    a local complete intersection.
-    """
-
-    local_lengths: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(x < 1 for x in self.local_lengths):
-            raise ValueError("every local length must be >= 1")
-
-    @staticmethod
-    def of_length(total: int) -> "SkyscraperQuotient":
-        """A quotient of the given total length at a single point."""
-        if total < 0:
-            raise ValueError("length must be >= 0")
-        return SkyscraperQuotient(() if total == 0 else (total,))
-
-    @property
-    def total_length(self) -> int:
-        return sum(self.local_lengths)
-
-
-@dataclass(frozen=True)
 class PairingComponent:
+    """One pairing that vanishes on the point-supported directions, and why."""
+
     pairing: str
-    killed: bool
     reason: str
 
 
@@ -62,15 +40,13 @@ class KilledPairingsVerdict:
     assumptions: tuple[str, ...]
 
 
-def ext_dims_QQ(quotient: SkyscraperQuotient) -> tuple[int, int, int]:
-    """(Hom, Ext^1, Ext^2) of the quotient against itself: (l, 2l, l)."""
-    l = quotient.total_length
+def ext_dims_QQ(l: int) -> tuple[int, int, int]:
+    """(Hom, Ext^1, Ext^2) of a quotient of total length ``l`` against
+    itself: (l, 2l, l)."""
     return (l, 2 * l, l)
 
 
-def ext1_FF_decomposition(
-    quotient: SkyscraperQuotient, h1_structure: int
-) -> tuple[int, int]:
+def ext1_FF_decomposition(l: int, h1_structure: int) -> tuple[int, int]:
     """Split the self-Ext of F into its point-supported and global parts.
 
     Returns ``(2l, h1_structure)``: the sheaf-level part has dimension
@@ -80,13 +56,12 @@ def ext1_FF_decomposition(
     """
     if h1_structure < 0:
         raise ValueError("h1 of the structure sheaf must be >= 0")
-    return (2 * quotient.total_length, h1_structure)
+    return (2 * l, h1_structure)
 
 
 _KILLED_COMPONENTS = (
     PairingComponent(
         pairing="Hom(L, Q) x H1(O) -> Ext2(L, F)",
-        killed=True,
         reason=(
             "the map factors through Ext1(L, Q), which vanishes: the sheaf-level "
             "ext of a locally free source into a point-supported target is zero, "
@@ -95,7 +70,6 @@ _KILLED_COMPONENTS = (
     ),
     PairingComponent(
         pairing="Ext1(L, F) x Hom(F, Q) -> Ext2(L, F)",
-        killed=True,
         reason=(
             "the map factors through Ext1(L, Q) = 0 for the same two reasons"
         ),
@@ -108,15 +82,15 @@ _ASSUMPTIONS = (
 )
 
 
-def killed_pairings_check(quotient: SkyscraperQuotient) -> KilledPairingsVerdict:
+def killed_pairings_check(l: int) -> KilledPairingsVerdict:
     """Structured justification for dropping the point-supported pairings.
 
     Both components of the obstruction pairing that involve the
     point-supported directions vanish, which reduces the third component of
     the deformation analysis around a nonfiltrable bundle to the split-bundle
-    case. With zero quotient the verdict is vacuous.
+    case. With a quotient of total length ``l = 0`` the verdict is vacuous.
     """
-    if quotient.total_length == 0:
+    if l == 0:
         return KilledPairingsVerdict(
             components=(),
             assumptions=(),

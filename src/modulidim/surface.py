@@ -27,13 +27,6 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its domain of validity."""
 
 
-def _pair(x) -> Pair:
-    if isinstance(x, BidegreeBundle):
-        return x.bidegree
-    a, b = x
-    return (int(a), int(b))
-
-
 @dataclass(frozen=True)
 class ProductSurface:
     """``C1 x C2`` with Pic-independent factors (an assumed input)."""
@@ -151,18 +144,18 @@ def kunneth_h(q: int, bundle: BidegreeBundle) -> Dim:
     return h1a * h1b
 
 
-def intersection(a: Pair | BidegreeBundle, b: Pair | BidegreeBundle) -> int:
+def intersection(a: Pair, b: Pair) -> int:
     """The intersection pairing of bidegree classes: (a,b).(c,d) = ad + bc."""
-    (x1, y1), (x2, y2) = _pair(a), _pair(b)
+    (x1, y1), (x2, y2) = a, b
     return x1 * y2 + y1 * x2
 
 
-def degree_wrt(bundle: Pair | BidegreeBundle, w: Polarization) -> int:
-    a, b = _pair(bundle)
+def degree_wrt(bundle: Pair, w: Polarization) -> int:
+    a, b = bundle
     return w.alpha * a + w.beta * b
 
 
-def is_destabilizing(bundle: Pair | BidegreeBundle, w: Polarization) -> bool:
+def is_destabilizing(bundle: Pair, w: Polarization) -> bool:
     """Whether a sub-line-bundle of this type destabilizes a degree-0 rank-2 bundle.
 
     Slope stability demands every sub-line-bundle have negative degree, so
@@ -172,7 +165,7 @@ def is_destabilizing(bundle: Pair | BidegreeBundle, w: Polarization) -> bool:
 
 
 def c2_of_extension(
-    bundle: Pair | BidegreeBundle,
+    bundle: Pair,
     quotient_reflexive_bidegree: Pair,
     q_length: int,
 ) -> int:

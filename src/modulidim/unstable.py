@@ -148,13 +148,12 @@ def dim_lower_bound(family: UnstableFamilySpec) -> int:
     return 2 * q_length(family)
 
 
+# Largest twist ``select_twist`` tries before giving up.
+_MAX_T = 10_000
+
+
 def select_twist(
-    surface: ProductSurface,
-    ample: Pair,
-    det: Pair,
-    c2: int,
-    a: int,
-    max_t: int = 10_000,
+    surface: ProductSurface, ample: Pair, det: Pair, c2: int, a: int
 ) -> SelectedTwist:
     """Smallest positive twist ``t`` making the family at least ``2a``-dimensional.
 
@@ -162,13 +161,13 @@ def select_twist(
     degree inequality ``t^2 H^2 - t H.R >= a - c2`` (which makes the point
     count at least ``a``), the slope condition, and the section-vanishing
     criterion. Such a ``t`` always exists since the quadratic term
-    dominates; ``max_t`` only guards the scan.
+    dominates; the scan stops at ``t = _MAX_T`` (10,000) only as a guard.
     """
     if a < 1:
         raise PreconditionError(f"the dimension target must be >= 1, got {a}")
     h2 = intersection(ample, ample)
     hr = intersection(ample, det)
-    for t in range(1, max_t + 1):
+    for t in range(1, _MAX_T + 1):
         if t * t * h2 - t * hr < a - c2:
             continue
         if 2 * t * h2 <= hr:
@@ -182,4 +181,4 @@ def select_twist(
         )
         if validate(candidate).passed:
             return SelectedTwist(t=t, family=candidate)
-    raise PreconditionError(f"no admissible twist found with t <= {max_t}")
+    raise PreconditionError(f"no admissible twist found with t <= {_MAX_T}")

@@ -22,13 +22,12 @@ from modulidim.curves import (
 )
 from modulidim.dims import Dim
 from modulidim.kuranishi import (
-    NonfiltrableStratum,
     SplitStratum,
     component_report,
     nonfiltrable_report,
 )
 from modulidim.oracle import KoszulModel, cech_h_p1, cech_h_product, koszul_ext
-from modulidim.skyscraper import SkyscraperQuotient, ext_dims_QQ
+from modulidim.skyscraper import ext_dims_QQ
 from modulidim.surface import (
     BidegreeBundle,
     Polarization,
@@ -115,7 +114,7 @@ def test_criterion_3_koszul_oracle(capsys):
             r = koszul_ext(KoszulModel(a, b))
             l = a * b
             assert (r.e0, r.e1, r.e2) == (l, 2 * l, l)
-            assert ext_dims_QQ(SkyscraperQuotient.of_length(l)) == (l, 2 * l, l)
+            assert ext_dims_QQ(l) == (l, 2 * l, l)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     with capsys.disabled():
@@ -283,7 +282,7 @@ def test_criterion_6_degeneration_and_curve_invariants(capsys):
     # zero-length degeneration, field by field
     for g1, g2, m, n in [(0, 0, 1, -1), (2, 2, 3, -2), (2, 3, 2, -1), (4, 1, 5, -3)]:
         s = _stratum(g1, g2, m, n)
-        assert nonfiltrable_report(NonfiltrableStratum(s, 0)) == component_report(s)
+        assert nonfiltrable_report(s, 0) == component_report(s)
 
     # Serre symmetry and chi additivity over the stated ranges
     dual_flag = {

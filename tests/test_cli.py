@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modulidim.cli import main, parse_sweep_config, render_json
@@ -249,6 +249,62 @@ class TestOracleCommands:
         code, _, err = run_cli(capsys, "oracle", "p1", "--k", "9", "--window", "4")
         assert code == 1 and "error" in err
 
+    def test_degree_too_large_exits_one_with_one_line(self, capsys):
+        # the chart window's length does not fit in a machine word
+        code, out, err = run_cli(capsys, "oracle", "p1", "--k", str(10**20))
+        assert (code, out) == (1, "")
+        assert err.startswith("modulidim: error:") and err.count("\n") == 1
+
+
+_SWEEP_KEYS = ("g1", "g2", "m_range", "n_range", "l_range", "alpha", "beta")
+
+
+@st.composite
+def _sweep_config_lines(draw):
+    """``(key, value)`` lines of a sweep config, or ``(None, text)`` for a
+    comment or blank line. Usually every key appears once, in any order,
+    with a value of its own form (an integer, or ``lo..hi`` for a range,
+    where one integer also stands for a range); sometimes a key is missing,
+    repeated or unknown, or a value has the other form. Integers are small."""
+    keys = list(draw(st.permutations(_SWEEP_KEYS)))
+    if draw(st.integers(0, 3)) == 0:
+        keys.pop()
+    extra = draw(st.sampled_from((None, None, None, "g1", "l_range", "bogus")))
+    if extra:
+        keys.insert(draw(st.integers(0, len(keys))), extra)
+    lines = []
+    for key in keys:
+        lo = draw(st.integers(-2, 4))
+        ranged = key.endswith("_range") != (draw(st.integers(0, 19)) == 0)
+        value = f"{lo}..{lo + draw(st.integers(-1, 3))}" if ranged else str(lo)
+        lines.append((key, value))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), (None, draw(st.sampled_from(("", "# note")))))
+    return lines
+
+
+def _sweep_config_model(lines):
+    """What ``parse_sweep_config`` must return for ``lines``; None when it
+    must raise ``ValueError``."""
+    config = {}
+    for key, value in lines:
+        if key is None:
+            continue
+        if key not in _SWEEP_KEYS or key in config:
+            return None
+        if not key.endswith("_range"):
+            if ".." in value:
+                return None
+            config[key] = int(value)
+            continue
+        lo, hi = map(int, value.split("..")) if ".." in value else (int(value),) * 2
+        if hi < lo:
+            return None
+        config[key] = list(range(lo, hi + 1))
+    if set(config) != set(_SWEEP_KEYS) or config["l_range"][0] < 0:
+        return None
+    return config
+
 
 class TestSweep:
     CONFIG = """
@@ -344,6 +400,34 @@ beta = 1
         path.write_text(self.CONFIG.replace("l_range = 0..1", "l_range = -1..2"))
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1 and not out and "q_length" in err
+
+    @pytest.mark.parametrize("replace", [
+        # no row is inside validity (m < 1), so no ledger ever sees the length
+        {"m_range = 2..3": "m_range = 0..0", "l_range = 0..1": "l_range = -5..-5"},
+        {"g2 = 2": "g2 = 2\ng1 = 3"},
+        # list(range(...)) cannot take this many elements
+        {"m_range = 2..3": f"m_range = 0..{10**20}"},
+    ], ids=["negative-length-outside-validity", "repeated-key", "overflowing-range"])
+    def test_refused_config_exits_one_with_one_line(self, capsys, tmp_path, replace):
+        config = self.CONFIG
+        for old, new in replace.items():
+            config = config.replace(old, new)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("modulidim: error:") and err.count("\n") == 1
+
+    @settings(max_examples=300)
+    @given(_sweep_config_lines())
+    def test_config_fuzz_parses_whole_or_refuses(self, lines):
+        expected = _sweep_config_model(lines)
+        text = "\n".join(f"{key} = {value}" if key else value for key, value in lines)
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_sweep_config(text)
+        else:
+            assert parse_sweep_config(text) == expected
 
 
 class TestDocumentContract:

@@ -68,7 +68,7 @@ class TestH0H1:
     def test_middle_range_is_interval(self):
         h0, h1 = h0_h1(bundle(3, 2))
         assert not h0.is_exact and not h1.is_exact
-        assert h0.chi == 0 and (h0.lower, h0.upper) == (0, 3)
+        assert (h0.lower, h0.upper) == (0, 3)
         assert (h1.lower, h1.upper) == (0, 3)
 
     def test_middle_range_lower_bound_respects_chi(self):

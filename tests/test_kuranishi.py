@@ -3,7 +3,6 @@ import pytest
 from modulidim.curves import CurveLineBundle, euler_characteristic, h0_h1, h0_h1_bounds
 from modulidim.dims import Dim
 from modulidim.kuranishi import (
-    NonfiltrableStratum,
     SplitStratum,
     component_report,
     enumerate_strata,
@@ -273,24 +272,24 @@ class TestNonfiltrable:
     def test_zero_length_degenerates_to_split(self):
         for surface, m, n in [(P1P1, 1, -1), (G22, 3, -2), (G23, 2, -1)]:
             s = split(surface, m, n)
-            assert nonfiltrable_report(NonfiltrableStratum(s, 0)) == component_report(s)
+            assert nonfiltrable_report(s, 0) == component_report(s)
 
     def test_genus_two_example(self):
-        r = nonfiltrable_report(NonfiltrableStratum(split(G22, 3, -2), 4))
+        r = nonfiltrable_report(split(G22, 3, -2), 4)
         assert r.t_o == Dim.exact(12)
         assert r.c2 == 16
         assert r.margin == 21
         assert r.margin_exceeds_c2
 
     def test_lines_example(self):
-        r = nonfiltrable_report(NonfiltrableStratum(split(P1P1, 1, -1), 2))
+        r = nonfiltrable_report(split(P1P1, 1, -1), 2)
         assert r.t_o == Dim.exact(4)
         assert r.c2 == 4
 
     def test_t_u_shifts_by_length_when_h2_vanishes(self):
         base = component_report(split(G22, 3, -2))
         assert base.comp_i_target == Dim.exact(0)
-        r = nonfiltrable_report(NonfiltrableStratum(split(G22, 3, -2), 5))
+        r = nonfiltrable_report(split(G22, 3, -2), 5)
         assert r.t_u == base.t_u + 5
         assert r.t_u_established
 
@@ -298,22 +297,22 @@ class TestNonfiltrable:
         # small m on a higher-genus first factor leaves h2 of the square
         # an interval, so the shifted count is only bounded
         s = ProductSurface.from_genera(4, 2)
-        r = nonfiltrable_report(NonfiltrableStratum(split(s, 1, -1), 3))
+        r = nonfiltrable_report(split(s, 1, -1), 3)
         assert not r.t_u_established
         assert not r.t_u.is_exact
 
     def test_t_s_shifts_by_length(self):
         base = component_report(split(G22, 3, -2))
-        r = nonfiltrable_report(NonfiltrableStratum(split(G22, 3, -2), 4))
+        r = nonfiltrable_report(split(G22, 3, -2), 4)
         assert r.t_s == base.t_s + 4
 
     def test_pairing_reduction_attached(self):
-        r = nonfiltrable_report(NonfiltrableStratum(split(G22, 3, -2), 4))
+        r = nonfiltrable_report(split(G22, 3, -2), 4)
         assert len(r.pairing_reduction.components) == 2
 
     def test_rejects_negative_length(self):
         with pytest.raises(PreconditionError):
-            NonfiltrableStratum(split(G22, 3, -2), -1)
+            nonfiltrable_report(split(G22, 3, -2), -1)
         with pytest.raises(PreconditionError):
             shift_by_length(component_report(split(G22, 3, -2)), -1)
 

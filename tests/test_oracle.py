@@ -17,7 +17,6 @@ from modulidim.oracle import (
     KoszulAssertionError,
     KoszulModel,
     StabilizationError,
-    TruncationWindow,
     WindowTooSmallError,
     _multiplication_matrix,
     cech_h_p1,
@@ -86,12 +85,12 @@ class TestP1Oracle:
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmallError):
-            cech_h_p1(5, TruncationWindow(3))
+            cech_h_p1(5, 3)
 
     def test_stabilization_over_wider_windows(self):
         for k in range(-20, 21):
             base = cech_h_p1(k)
-            wide = cech_h_p1(k, TruncationWindow(base.window + 3))
+            wide = cech_h_p1(k, base.window + 3)
             assert (base.h0, base.h1) == (wide.h0, wide.h1)
 
     def test_matches_curve_rules(self):
@@ -143,7 +142,7 @@ class TestProductOracle:
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmallError):
-            cech_h_product(4, 0, TruncationWindow(3))
+            cech_h_product(4, 0, 3)
 
 
 class TestKoszulOracle:

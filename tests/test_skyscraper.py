@@ -2,62 +2,53 @@ import pytest
 
 from modulidim.oracle import KoszulModel, koszul_ext
 from modulidim.skyscraper import (
-    SkyscraperQuotient,
     ext1_FF_decomposition,
     ext_dims_QQ,
     killed_pairings_check,
 )
 
 
-def test_quotient_validation():
-    assert SkyscraperQuotient().total_length == 0
-    assert SkyscraperQuotient((2, 3)).total_length == 5
-    assert SkyscraperQuotient.of_length(0) == SkyscraperQuotient()
-    with pytest.raises(ValueError):
-        SkyscraperQuotient((0,))
-
-
 @pytest.mark.parametrize("l,expected", [(1, (1, 2, 1)), (0, (0, 0, 0)), (4, (4, 8, 4))])
 def test_ext_dims_QQ(l, expected):
-    assert ext_dims_QQ(SkyscraperQuotient.of_length(l)) == expected
+    assert ext_dims_QQ(l) == expected
 
 
 @pytest.mark.parametrize(
     "l,h1,expected", [(1, 5, (2, 5)), (0, 7, (0, 7)), (3, 0, (6, 0))]
 )
 def test_ext1_FF_decomposition(l, h1, expected):
-    assert ext1_FF_decomposition(SkyscraperQuotient.of_length(l), h1) == expected
+    assert ext1_FF_decomposition(l, h1) == expected
 
 
 def test_killed_pairings():
-    verdict = killed_pairings_check(SkyscraperQuotient.of_length(2))
+    verdict = killed_pairings_check(2)
     assert len(verdict.components) == 2
-    assert all(c.killed for c in verdict.components)
+    assert all(c.reason for c in verdict.components)
     assert verdict.assumptions
 
-    vacuous = killed_pairings_check(SkyscraperQuotient())
+    vacuous = killed_pairings_check(0)
     assert not vacuous.components
 
 
 def test_linearity_under_disjoint_support():
     for l1 in range(0, 5):
         for l2 in range(0, 5):
-            a = ext_dims_QQ(SkyscraperQuotient.of_length(l1))
-            b = ext_dims_QQ(SkyscraperQuotient.of_length(l2))
-            ab = ext_dims_QQ(SkyscraperQuotient.of_length(l1 + l2))
+            a = ext_dims_QQ(l1)
+            b = ext_dims_QQ(l2)
+            ab = ext_dims_QQ(l1 + l2)
             assert tuple(x + y for x, y in zip(a, b)) == ab
 
 
 def test_local_to_global_consistency():
-    q = SkyscraperQuotient((1, 2, 4))
-    per_point = [(l, 2 * l, l) for l in q.local_lengths]
+    local_lengths = (1, 2, 4)
+    per_point = [(l, 2 * l, l) for l in local_lengths]
     totals = tuple(sum(col) for col in zip(*per_point))
-    assert totals == ext_dims_QQ(q)
+    assert totals == ext_dims_QQ(sum(local_lengths))
 
 
 def test_euler_consistency():
     for l in range(0, 10):
-        e0, e1, e2 = ext_dims_QQ(SkyscraperQuotient.of_length(l))
+        e0, e1, e2 = ext_dims_QQ(l)
         assert e0 - e1 + e2 == 0
 
 
@@ -68,5 +59,4 @@ def test_closed_form_matches_koszul_oracle():
             if a * b > 9:
                 continue
             r = koszul_ext(KoszulModel(a, b))
-            q = SkyscraperQuotient.of_length(a * b)
-            assert (r.e0, r.e1, r.e2) == ext_dims_QQ(q)
+            assert (r.e0, r.e1, r.e2) == ext_dims_QQ(a * b)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import modulidim
@@ -24,6 +25,17 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_all_lists_exactly_the_public_names():
+    # a name dropped from the package but left in __all__ would make
+    # `from modulidim import *` raise; a new export must be listed too
+    bound = {
+        name for name, value in vars(modulidim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    # compared as sorted lists, so a name listed twice fails too
+    assert sorted(modulidim.__all__) == sorted(bound)
 
 
 def test_every_traced_function_exists():

@@ -174,4 +174,5 @@ class TestSelectTwist:
 
     def test_scan_cap(self):
         with pytest.raises(PreconditionError):
-            select_twist(P1P1, (1, 1), (0, 0), 0, 10_000, max_t=2)
+            # t^2 H^2 >= a needs t > 22,000, past the scan's cap of 10,000
+            select_twist(P1P1, (1, 1), (0, 0), 0, 10**9)
