@@ -4,6 +4,8 @@ Every command emits a single report document on stdout, as canonical JSON
 (sorted keys, two-space indent, ASCII-escaped strings) or as markdown tables.
 The JSON writer takes only dicts with string keys, lists, strings, integers,
 booleans and null, and raises ``TypeError`` on anything else, floats included.
+The document is built in full before its first byte is written; the JSON text
+then goes to stdout in bounded pieces and is never held whole.
 Numeric result fields carry a provenance marker: ``closed-form`` for rule
 outputs, ``chi-derived`` for quantities exact only through an Euler
 characteristic, ``oracle`` for brute-force results.
@@ -15,7 +17,9 @@ Exit codes:
   to compute with (``OverflowError``, such as a range whose length does not
   fit in a machine word); or the input needed more memory than the process
   has (``modulidim: error: out of memory``). Nothing is written to stdout,
-  and stderr ends with one ``modulidim: error:`` line,
+  and stderr ends with one ``modulidim: error:`` line. An error while stdout
+  is being written (``OSError``, such as a closed pipe) also exits 1 with
+  that line, but may leave part of the document on stdout,
 * 2: a result was indeterminate while ``--require-exact`` was given,
 * 3: a report contains a not-established verdict (distinct from an error),
 * 4: an internal check failed: an oracle result moved between windows
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import TextIO
 
 from . import discrepancies
 from .dims import Dim
@@ -60,7 +65,7 @@ from .surface import (
     moduli_real_dimension,
     surface_topology,
 )
-from .unstable import UnstableFamilySpec, q_length, select_twist, validate
+from .unstable import UnstableFamilySpec, select_twist, validate
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -212,7 +217,7 @@ def _unstable_doc(args) -> tuple[dict, int]:
             raise PreconditionError("--select-t requires --a")
         selected = select_twist(surface, args.H, args.R, args.c2, args.a)
         family = selected.family
-        points = q_length(family)
+        points = selected.q_length
         h2 = intersection(args.H, args.H)
         hr = intersection(args.H, args.R)
         doc["inputs"]["a"] = args.a
@@ -240,7 +245,7 @@ def _unstable_doc(args) -> tuple[dict, int]:
     ]
     doc["assumptions"] = list(verdict.assumptions)
     if verdict.passed:
-        points = q_length(family)
+        points = verdict.q_length
         doc["results"] = {
             "q_length": _pv(points, "closed-form"),
             "dim_lower_bound": _pv(2 * points, "closed-form"),
@@ -392,16 +397,26 @@ _JSON_LEAVES = {
 }
 
 
-def render_json(doc: dict) -> str:
-    """``doc`` as the exact bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+# ``_write_json`` writes its pieces out whenever this many have accumulated, so
+# the rendered text of a large document is never held whole.
+_JSON_BATCH = 4096
+
+
+def render_json(doc: dict, out: TextIO) -> None:
+    """Write ``doc`` to ``out`` as the exact bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, in pieces."""
     chunks: list[str] = []
-    _write_json(doc, "\n", chunks)
+    _write_json(doc, "\n", chunks, out)
     chunks.append("\n")
-    return "".join(chunks)
+    out.write("".join(chunks))
 
 
-def _write_json(value, newline: str, chunks: list[str]) -> None:
-    """Append ``value``; ``newline`` is the line break and indent that close it."""
+def _write_json(value, newline: str, chunks: list[str], out: TextIO) -> None:
+    """Append ``value``; ``newline`` is the line break and indent that close it.
+
+    After each list item, a batch of ``_JSON_BATCH`` pieces or more goes to
+    ``out`` and ``chunks`` starts empty again.
+    """
     kind = type(value)
     inner = newline + "  "
     if kind is dict:
@@ -411,7 +426,7 @@ def _write_json(value, newline: str, chunks: list[str]) -> None:
             leaf = _JSON_LEAVES.get(type(item))
             chunks.append(f"{separator}{_json_string(key)}: {leaf(item) if leaf else ''}")
             if leaf is None:
-                _write_json(item, inner, chunks)
+                _write_json(item, inner, chunks, out)
             separator = "," + inner
         chunks.append(newline + "}" if value else "{}")
     elif kind is list or kind is tuple:
@@ -420,8 +435,11 @@ def _write_json(value, newline: str, chunks: list[str]) -> None:
             leaf = _JSON_LEAVES.get(type(item))
             chunks.append(separator + leaf(item) if leaf else separator)
             if leaf is None:
-                _write_json(item, inner, chunks)
+                _write_json(item, inner, chunks, out)
             separator = "," + inner
+            if len(chunks) >= _JSON_BATCH:
+                out.write("".join(chunks))
+                chunks.clear()
         chunks.append(newline + "]" if value else "[]")
     else:
         raise TypeError(f"cannot render a {kind.__name__} as JSON")
@@ -459,7 +477,8 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def render_markdown(doc: dict) -> str:
+def render_markdown(doc: dict, out: TextIO) -> None:
+    """Write ``doc`` to ``out`` as markdown tables."""
     lines = [f"# {doc['command']}", ""]
     if "inputs" in doc:
         lines.append("Inputs: " + ", ".join(f"{k}={v}" for k, v in sorted(doc["inputs"].items())))
@@ -511,7 +530,7 @@ def render_markdown(doc: dict) -> str:
                 f"`{entry['stated_formula']}` = {entry['stated_value']}, used "
                 f"`{entry['used_formula']}` = {entry['used_value']}; {entry['relation']}"
             )
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
 def _has_interval(node) -> bool:
@@ -665,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
         doc, code = _dispatch(args)
         if getattr(args, "require_exact", False) and _has_interval(doc):
             code = EXIT_INDETERMINATE
-        text = render_json(doc) if args.format == "json" else render_markdown(doc)
+        (render_json if args.format == "json" else render_markdown)(doc, sys.stdout)
     except (PreconditionError, ValueError, OverflowError, OSError) as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -675,7 +694,6 @@ def main(argv: list[str] | None = None) -> int:
     except (StabilizationError, KoszulAssertionError) as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(text)
     return code
 
 

@@ -6,9 +6,8 @@ self-Ext dimensions ``(l, 2l, l)`` that depend only on its total length
 ``l``. The self-Ext of the kernel ``F`` of a surjection from a line bundle
 onto ``Q`` splits into a point-supported part of dimension ``2l`` and the
 first cohomology of the structure sheaf. The functions here therefore take
-the quotient as its total length ``l``; a length is checked to be
-nonnegative where a ledger is shifted by it
-(:func:`modulidim.kuranishi.shift_by_length`).
+the quotient as its total length ``l``, and each of them raises
+``ValueError`` on a negative length.
 
 The Koszul oracle (:mod:`modulidim.oracle`) recomputes the self-Ext counts
 from an explicit resolution for monomial complete intersections, which is
@@ -40,9 +39,15 @@ class KilledPairingsVerdict:
     assumptions: tuple[str, ...]
 
 
+def _check_length(l: int) -> None:
+    if l < 0:
+        raise ValueError(f"a quotient length must be >= 0, got {l}")
+
+
 def ext_dims_QQ(l: int) -> tuple[int, int, int]:
     """(Hom, Ext^1, Ext^2) of a quotient of total length ``l`` against
     itself: (l, 2l, l)."""
+    _check_length(l)
     return (l, 2 * l, l)
 
 
@@ -54,6 +59,7 @@ def ext1_FF_decomposition(l: int, h1_structure: int) -> tuple[int, int]:
     cohomology of the structure sheaf. Their sum is the dimension of the
     tangent directions that vary the destabilizing subsheaf.
     """
+    _check_length(l)
     if h1_structure < 0:
         raise ValueError("h1 of the structure sheaf must be >= 0")
     return (2 * l, h1_structure)
@@ -90,6 +96,7 @@ def killed_pairings_check(l: int) -> KilledPairingsVerdict:
     the deformation analysis around a nonfiltrable bundle to the split-bundle
     case. With a quotient of total length ``l = 0`` the verdict is vacuous.
     """
+    _check_length(l)
     if l == 0:
         return KilledPairingsVerdict(
             components=(),

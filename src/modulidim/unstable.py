@@ -50,9 +50,13 @@ class ConditionVerdict:
 
 @dataclass(frozen=True)
 class ValidationVerdict:
+    """The three conditions, and the point count ``c2 + L^2 - L.R``, which
+    is negative exactly when the c2 bound fails."""
+
     conditions: tuple[ConditionVerdict, ...]
     passed: bool
     assumptions: tuple[str, ...]
+    q_length: int
 
     def failing(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.conditions if c.status != "pass")
@@ -62,6 +66,7 @@ class ValidationVerdict:
 class SelectedTwist:
     t: int
     family: UnstableFamilySpec
+    q_length: int
 
 
 def _vanishing_twist_bidegree(family: UnstableFamilySpec) -> Pair:
@@ -106,9 +111,10 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     vanishing = ConditionVerdict(name="section-vanishing", status=status, detail=detail)
 
     floor = -intersection(family.sub, family.sub) + intersection(family.sub, family.det)
+    points = family.c2 - floor
     c2_bound = ConditionVerdict(
         name="c2-bound",
-        status="pass" if family.c2 >= floor else "fail",
+        status="pass" if points >= 0 else "fail",
         detail=f"c2 = {family.c2} vs floor {floor}",
     )
 
@@ -121,26 +127,19 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
             "property with respect to the vanishing twist (granted by the "
             "choice of L)",
         ),
+        q_length=points,
     )
 
 
-def _require_valid(family: UnstableFamilySpec):
+def q_length(family: UnstableFamilySpec) -> int:
+    """Number of points in the quotient: ``c2 + L^2 - L.R``, for a family
+    that passes :func:`validate`."""
     verdict = validate(family)
     if not verdict.passed:
         raise PreconditionError(
             f"family data fails validation on: {', '.join(verdict.failing())}"
         )
-
-
-def q_length(family: UnstableFamilySpec) -> int:
-    """Number of points in the quotient: ``c2 + L^2 - L.R``."""
-    _require_valid(family)
-    value = family.c2 + intersection(family.sub, family.sub) - intersection(family.sub, family.det)
-    if value < 0:
-        raise PreconditionError(
-            f"negative point count {value}: c2 violates its lower bound"
-        )
-    return value
+    return verdict.q_length
 
 
 def dim_lower_bound(family: UnstableFamilySpec) -> int:
@@ -179,6 +178,7 @@ def select_twist(
             sub=(t * ample[0], t * ample[1]),
             c2=c2,
         )
-        if validate(candidate).passed:
-            return SelectedTwist(t=t, family=candidate)
+        verdict = validate(candidate)
+        if verdict.passed:
+            return SelectedTwist(t=t, family=candidate, q_length=verdict.q_length)
     raise PreconditionError(f"no admissible twist found with t <= {_MAX_T}")

@@ -1,13 +1,16 @@
 import enum
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modulidim.cli import main, parse_sweep_config, render_json
+from modulidim.cli import _sweep_doc, main, parse_sweep_config, render_json
+from modulidim.unstable import validate
 
 
 def run_cli(capsys, *args):
@@ -216,6 +219,30 @@ class TestUnstableReport:
         assert doc["results"]["t"]["value"] == 2
         assert doc["results"]["dim_lower_bound"]["value"] >= 8
         assert doc["discrepancy_ledger"][0]["id"] == "twist-degree-inequality"
+
+    @pytest.mark.parametrize("flags,points", [
+        (("--L", "2,2", "--c2", "8"), 16),
+        (("--c2", "0", "--select-t", "--a", "4"), 8),
+    ], ids=["L", "select-t"])
+    def test_validates_once_per_command(self, capsys, monkeypatch, flags, points):
+        # --select-t reaches one candidate here: t = 1 fails the degree
+        # inequality before it is validated, and t = 2 passes
+        calls = []
+
+        def counted(family):
+            calls.append(family.sub)
+            return validate(family)
+
+        monkeypatch.setattr("modulidim.cli.validate", counted)
+        monkeypatch.setattr("modulidim.unstable.validate", counted)
+        code, doc, _ = run_json(
+            capsys,
+            "report", "unstable", "--g1", "0", "--g2", "0", "--H", "1,1", "--R", "0,0",
+            *flags,
+        )
+        assert code == 0
+        assert calls == [(2, 2)]
+        assert doc["results"]["q_length"]["value"] == points
 
     def test_select_twist_needs_target(self, capsys):
         code, _, err = run_cli(
@@ -526,10 +553,48 @@ class _Level(enum.IntEnum):
     HIGH = 2
 
 
+def _sweep_document(m_hi: int, l_hi: int) -> dict:
+    """The sweep document of genus (2, 2), m in 1..m_hi, n in -m_hi..-1,
+    l in 0..l_hi: every row is a ledger row."""
+    config = parse_sweep_config(
+        f"g1 = 2\ng2 = 2\nm_range = 1..{m_hi}\nn_range = -{m_hi}..-1\n"
+        f"l_range = 0..{l_hi}\nalpha = 1\nbeta = 1\n"
+    )
+    return _sweep_doc(config)[0]
+
+
+class _CountedText(io.StringIO):
+    """A text stream that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class _Discard:
+    """A text stream that counts its writes and their length, and keeps nothing."""
+
+    def __init__(self):
+        self.writes = 0
+        self.size = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.size += len(text)
+
+
+def _render(doc) -> str:
+    out = io.StringIO()
+    render_json(doc, out)
+    return out.getvalue()
+
+
 class TestRenderJson:
     @given(st.dictionaries(_TEXT, _TREES, max_size=3) | st.lists(_TREES, max_size=3))
     def test_matches_indented_json_dumps(self, tree):
-        assert render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        assert _render(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("doc", [
         {"value": 1.0},
@@ -539,7 +604,29 @@ class TestRenderJson:
     ], ids=["float", "set", "int-enum", "int-key"])
     def test_rejects_values_outside_the_document_types(self, doc):
         with pytest.raises(TypeError):
-            render_json(doc)
+            _render(doc)
+
+    def test_sweep_streamed_in_many_batches_matches_json_dumps(self):
+        doc = _sweep_document(12, 10)
+        out = _CountedText()
+        render_json(doc, out)
+        assert out.writes > 5
+        assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_memory_while_rendering_stays_far_below_the_output_size(self):
+        # the writer keeps at most one batch of pieces, never the whole text:
+        # about 0.4 MB here, against 15 MB or more if it held every piece
+        doc = _sweep_document(24, 10)
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            render_json(doc, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 3_000_000
+        assert sink.writes > 1
+        assert peak < 1_000_000, peak
 
 
 def test_console_entry_point():

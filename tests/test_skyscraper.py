@@ -20,6 +20,16 @@ def test_ext1_FF_decomposition(l, h1, expected):
     assert ext1_FF_decomposition(l, h1) == expected
 
 
+@pytest.mark.parametrize("call", [
+    ext_dims_QQ,
+    lambda l: ext1_FF_decomposition(l, 0),
+    killed_pairings_check,
+], ids=["ext_dims_QQ", "ext1_FF_decomposition", "killed_pairings_check"])
+def test_negative_length_rejected(call):
+    with pytest.raises(ValueError, match="length"):
+        call(-1)
+
+
 def test_killed_pairings():
     verdict = killed_pairings_check(2)
     assert len(verdict.components) == 2
