@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import TextIO
+from io import TextIOBase
 
 from . import discrepancies
 from .dims import Dim
@@ -264,7 +264,7 @@ def _unstable_doc(args) -> tuple[dict, int]:
 
 
 def _oracle_p1_doc(args) -> dict:
-    r = cech_h_p1(args.k, args.window or None)
+    r = cech_h_p1(args.k, args.window)
     return {
         "command": "oracle p1",
         "inputs": {"k": args.k, "window": r.window},
@@ -273,7 +273,7 @@ def _oracle_p1_doc(args) -> dict:
 
 
 def _oracle_product_doc(args) -> dict:
-    r = cech_h_product(args.a, args.b, args.window or None)
+    r = cech_h_product(args.a, args.b, args.window)
     return {
         "command": "oracle product",
         "inputs": {"a": args.a, "b": args.b, "window": r.window},
@@ -402,7 +402,7 @@ _JSON_LEAVES = {
 _JSON_BATCH = 4096
 
 
-def render_json(doc: dict, out: TextIO) -> None:
+def render_json(doc: dict, out: TextIOBase) -> None:
     """Write ``doc`` to ``out`` as the exact bytes of
     ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, in pieces."""
     chunks: list[str] = []
@@ -411,7 +411,7 @@ def render_json(doc: dict, out: TextIO) -> None:
     out.write("".join(chunks))
 
 
-def _write_json(value, newline: str, chunks: list[str], out: TextIO) -> None:
+def _write_json(value, newline: str, chunks: list[str], out: TextIOBase) -> None:
     """Append ``value``; ``newline`` is the line break and indent that close it.
 
     After each list item, a batch of ``_JSON_BATCH`` pieces or more goes to
@@ -477,7 +477,7 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def render_markdown(doc: dict, out: TextIO) -> None:
+def render_markdown(doc: dict, out: TextIOBase) -> None:
     """Write ``doc`` to ``out`` as markdown tables."""
     lines = [f"# {doc['command']}", ""]
     if "inputs" in doc:

@@ -21,9 +21,8 @@ degree-zero bundle, or the canonical bundle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .dims import Dim
+from .dims import Dim, Record
 
 
 class Triviality(enum.Enum):
@@ -41,22 +40,28 @@ class Triviality(enum.Enum):
     CANONICAL = "canonical"
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     """A smooth projective curve, known only through its genus."""
 
-    genus: int
+    __slots__ = ("genus",)
+
+    def __init__(self, genus: int):
+        object.__setattr__(self, "genus", genus)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
 
 
-@dataclass(frozen=True)
-class CurveLineBundle:
-    curve: Curve
-    degree: int
-    triviality: Triviality = Triviality.GENERIC
+class CurveLineBundle(Record):
+    __slots__ = ("curve", "degree", "triviality")
+
+    def __init__(self, curve: Curve, degree: int, triviality: Triviality = Triviality.GENERIC):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "triviality", triviality)
+        self.__post_init__()
 
     def __post_init__(self):
         g, d, t = self.curve.genus, self.degree, self.triviality

@@ -9,8 +9,6 @@ propagate bounds instead of guessing a representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class IndeterminateDimensionError(ValueError):
     """Raised when an exact value is requested from an interval."""
@@ -24,16 +22,51 @@ def _as_dim(x: "Dim | int") -> "Dim":
     raise TypeError(f"cannot treat {x!r} as a dimension")
 
 
-@dataclass(frozen=True)
-class Dim:
+class Record:
+    """An immutable record whose fields are its ``__slots__``, set in
+    ``__init__`` through ``object.__setattr__``; equality, hash, repr and
+    ``copy``/``pickle`` go by the tuple of field values."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Dim(Record):
     """A cohomology dimension: exact, or an interval of candidates.
 
     ``lower``/``upper`` are finite bounds on the value; equal bounds make it
     exact.
     """
 
-    lower: int
-    upper: int
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: int, upper: int):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.lower < 0:

@@ -25,10 +25,8 @@ unchanged, and only the tangent dimensions and ``c2`` shift by ``l``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curves import h0_h1_bounds
-from .dims import Dim
+from .dims import Dim, Record
 from .skyscraper import KilledPairingsVerdict, ext1_FF_decomposition, killed_pairings_check
 from .surface import (
     Polarization,
@@ -40,18 +38,21 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class SplitStratum:
+class SplitStratum(Record):
     """Deformations of ``L + L^-1`` with ``L`` of bidegree ``(m, n)``.
 
     The bidegree must have nonnegative degree against the polarization,
     since the stratum describes unstable deformations.
     """
 
-    surface: ProductSurface
-    m: int
-    n: int
-    polarization: Polarization
+    __slots__ = ("surface", "m", "n", "polarization")
+
+    def __init__(self, surface: ProductSurface, m: int, n: int, polarization: Polarization):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "polarization", polarization)
+        self.__post_init__()
 
     def __post_init__(self):
         if not is_destabilizing((self.m, self.n), self.polarization):
@@ -61,22 +62,26 @@ class SplitStratum:
             )
 
 
-@dataclass(frozen=True)
-class KuranishiReport:
+class KuranishiReport(Record):
     """Per-component dimension ledger for one unstable stratum: the inputs
     and four Kunneth dimensions are stored, every other entry is derived."""
 
-    g1: int
-    g2: int
-    m: int
-    n: int
-    alpha: int
-    beta: int
-    q_length: int
-    t_u: Dim
-    comp_i_target: Dim
-    codim: Dim
-    equations: Dim
+    __slots__ = ("g1", "g2", "m", "n", "alpha", "beta", "q_length",
+                 "t_u", "comp_i_target", "codim", "equations")
+
+    def __init__(self, g1: int, g2: int, m: int, n: int, alpha: int, beta: int, q_length: int,
+                 t_u: Dim, comp_i_target: Dim, codim: Dim, equations: Dim):
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "q_length", q_length)
+        object.__setattr__(self, "t_u", t_u)
+        object.__setattr__(self, "comp_i_target", comp_i_target)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "equations", equations)
 
     # With m >= 1 the first-factor inverse square has no sections, so the
     # Kunneth h^1 and h^2 of the inverse square are nu1 times the second
@@ -147,15 +152,17 @@ class KuranishiReport:
         return killed_pairings_check(self.q_length)
 
 
-@dataclass(frozen=True)
-class StratumOutcome:
+class StratumOutcome(Record):
     """One stratum inside an aggregate comparison report."""
 
-    m: int
-    n: int
-    q_length: int
-    orientation: str
-    report: KuranishiReport
+    __slots__ = ("m", "n", "q_length", "orientation", "report")
+
+    def __init__(self, m: int, n: int, q_length: int, orientation: str, report: KuranishiReport):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q_length", q_length)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "report", report)
 
     @property
     def margin(self) -> int:
@@ -166,19 +173,24 @@ class StratumOutcome:
         return self.report.margin_established
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Aggregate margin check over all enumerated unstable strata."""
 
-    surface: ProductSurface
-    polarization: Polarization
-    c2: int
-    bound: int
-    strata: tuple[StratumOutcome, ...]
-    excluded: tuple[dict, ...]
-    not_established: tuple[dict, ...]
-    min_margin: int | None
-    verdict: str
+    __slots__ = ("surface", "polarization", "c2", "bound", "strata",
+                 "excluded", "not_established", "min_margin", "verdict")
+
+    def __init__(self, surface: ProductSurface, polarization: Polarization, c2: int, bound: int,
+                 strata: tuple[StratumOutcome, ...], excluded: tuple[dict, ...],
+                 not_established: tuple[dict, ...], min_margin: int | None, verdict: str):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "polarization", polarization)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "not_established", not_established)
+        object.__setattr__(self, "min_margin", min_margin)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def toy_domain_dim(m: int, n: int) -> int:

@@ -14,7 +14,7 @@ is kept as an independent reference that the tests check it against.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def dense_rank(rows: list[list[int]]) -> int:

@@ -19,8 +19,7 @@ command line reports either error with exit code 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .dims import Record
 from .linalg import sparse_rank
 
 
@@ -36,30 +35,37 @@ class KoszulAssertionError(RuntimeError):
     """A resolution differential expected to vanish did not."""
 
 
-@dataclass(frozen=True)
-class P1CechResult:
-    k: int
-    h0: int
-    h1: int
-    window: int
+class P1CechResult(Record):
+    __slots__ = ("k", "h0", "h1", "window")
+
+    def __init__(self, k: int, h0: int, h1: int, window: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "window", window)
 
 
-@dataclass(frozen=True)
-class ProductCechResult:
-    a: int
-    b: int
-    h0: int
-    h1: int
-    h2: int
-    window: int
+class ProductCechResult(Record):
+    __slots__ = ("a", "b", "h0", "h1", "h2", "window")
+
+    def __init__(self, a: int, b: int, h0: int, h1: int, h2: int, window: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "window", window)
 
 
-@dataclass(frozen=True)
-class KoszulModel:
+class KoszulModel(Record):
     """The quotient ``O / (x^a, y^b)``, a complete intersection of length ab."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
@@ -70,12 +76,14 @@ class KoszulModel:
         return self.a * self.b
 
 
-@dataclass(frozen=True)
-class KoszulExtResult:
-    e0: int
-    e1: int
-    e2: int
-    length: int
+class KoszulExtResult(Record):
+    __slots__ = ("e0", "e1", "e2", "length")
+
+    def __init__(self, e0: int, e1: int, e2: int, length: int):
+        object.__setattr__(self, "e0", e0)
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "length", length)
 
 
 def _chart_exponents(chart: int, k: int, N: int) -> range:

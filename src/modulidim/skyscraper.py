@@ -16,27 +16,31 @@ where these closed forms are cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .dims import Record
 
 
-@dataclass(frozen=True)
-class PairingComponent:
+class PairingComponent(Record):
     """One pairing that vanishes on the point-supported directions, and why."""
 
-    pairing: str
-    reason: str
+    __slots__ = ("pairing", "reason")
+
+    def __init__(self, pairing: str, reason: str):
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class KilledPairingsVerdict:
+class KilledPairingsVerdict(Record):
     """Why the obstruction pairing ignores the point-supported directions.
 
     The reduction holds under the listed assumptions; it has no failing
     outcome, so the record carries no verdict flag.
     """
 
-    components: tuple[PairingComponent, ...]
-    assumptions: tuple[str, ...]
+    __slots__ = ("components", "assumptions")
+
+    def __init__(self, components: tuple[PairingComponent, ...], assumptions: tuple[str, ...]):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "assumptions", assumptions)
 
 
 def _check_length(l: int) -> None:

@@ -10,15 +10,13 @@ curve rules, the intersection form is the hyperbolic pairing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curves import (
     Curve,
     CurveLineBundle,
     Triviality,
     h0_h1,
 )
-from .dims import Dim
+from .dims import Dim, Record
 
 Pair = tuple[int, int]
 
@@ -27,12 +25,14 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its domain of validity."""
 
 
-@dataclass(frozen=True)
-class ProductSurface:
+class ProductSurface(Record):
     """``C1 x C2`` with Pic-independent factors (an assumed input)."""
 
-    curve1: Curve
-    curve2: Curve
+    __slots__ = ("curve1", "curve2")
+
+    def __init__(self, curve1: Curve, curve2: Curve):
+        object.__setattr__(self, "curve1", curve1)
+        object.__setattr__(self, "curve2", curve2)
 
     @staticmethod
     def from_genera(g1: int, g2: int) -> "ProductSurface":
@@ -43,38 +43,44 @@ class ProductSurface:
         return (self.curve1.genus, self.curve2.genus)
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Record):
     """An ample class on the product; both entries must be positive."""
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: int, beta: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("a polarization on a product of curves needs alpha, beta > 0")
 
 
-@dataclass(frozen=True)
-class SurfaceTopology:
-    b1: int
-    b2_minus: int
+class SurfaceTopology(Record):
+    __slots__ = ("b1", "b2_minus")
+
+    def __init__(self, b1: int, b2_minus: int):
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2_minus", b2_minus)
 
 
-@dataclass(frozen=True)
-class BidegreeBundle:
+class BidegreeBundle(Record):
     """A line bundle on the product, split by factor.
 
     ``factor_triviality`` carries what is known about each factor beyond its
     degree; constructing the factors validates the flags against the degrees.
     """
 
-    surface: ProductSurface
-    bidegree: Pair
-    factor_triviality: tuple[Triviality, Triviality] = (
-        Triviality.GENERIC,
-        Triviality.GENERIC,
-    )
+    __slots__ = ("surface", "bidegree", "factor_triviality")
+
+    def __init__(self, surface: ProductSurface, bidegree: Pair,
+                 factor_triviality: tuple[Triviality, Triviality] = (Triviality.GENERIC,) * 2):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "bidegree", bidegree)
+        object.__setattr__(self, "factor_triviality", factor_triviality)
+        self.__post_init__()
 
     def __post_init__(self):
         self.factors()  # validates flag/degree consistency

@@ -11,9 +11,7 @@ unstable bundles of dimension at least twice the point count,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .dims import Dim
+from .dims import Dim, Record
 from .surface import (
     BidegreeBundle,
     Pair,
@@ -25,15 +23,18 @@ from .surface import (
 from .curves import canonical_degree
 
 
-@dataclass(frozen=True)
-class UnstableFamilySpec:
+class UnstableFamilySpec(Record):
     """Input data for one totally unstable family."""
 
-    surface: ProductSurface
-    ample: Pair
-    det: Pair
-    sub: Pair
-    c2: int
+    __slots__ = ("surface", "ample", "det", "sub", "c2")
+
+    def __init__(self, surface: ProductSurface, ample: Pair, det: Pair, sub: Pair, c2: int):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "ample", ample)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "c2", c2)
+        self.__post_init__()
 
     def __post_init__(self):
         a, b = self.ample
@@ -41,32 +42,39 @@ class UnstableFamilySpec:
             raise PreconditionError(f"the ample class needs positive entries, got {self.ample}")
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    name: str
-    status: str  # "pass" | "fail" | "undecidable"
-    detail: str
+class ConditionVerdict(Record):
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)  # "pass" | "fail" | "undecidable"
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
+class ValidationVerdict(Record):
     """The three conditions, and the point count ``c2 + L^2 - L.R``, which
     is negative exactly when the c2 bound fails."""
 
-    conditions: tuple[ConditionVerdict, ...]
-    passed: bool
-    assumptions: tuple[str, ...]
-    q_length: int
+    __slots__ = ("conditions", "passed", "assumptions", "q_length")
+
+    def __init__(self, conditions: tuple[ConditionVerdict, ...], passed: bool,
+                 assumptions: tuple[str, ...], q_length: int):
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "q_length", q_length)
 
     def failing(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.conditions if c.status != "pass")
 
 
-@dataclass(frozen=True)
-class SelectedTwist:
-    t: int
-    family: UnstableFamilySpec
-    q_length: int
+class SelectedTwist(Record):
+    __slots__ = ("t", "family", "q_length")
+
+    def __init__(self, t: int, family: UnstableFamilySpec, q_length: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "q_length", q_length)
 
 
 def _vanishing_twist_bidegree(family: UnstableFamilySpec) -> Pair:

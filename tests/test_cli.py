@@ -276,6 +276,19 @@ class TestOracleCommands:
         code, _, err = run_cli(capsys, "oracle", "p1", "--k", "9", "--window", "4")
         assert code == 1 and "error" in err
 
+    def test_p1_window_zero_is_refused(self, capsys):
+        # 0 is a window like any other, not a request for the default
+        code, out, err = run_cli(capsys, "oracle", "p1", "--k", "3", "--window", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("modulidim: error:") and "got 0" in err
+
+    def test_product_window_zero_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "product", "--a", "1", "--b", "-1", "--window", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("modulidim: error:") and "got 0" in err
+
     def test_degree_too_large_exits_one_with_one_line(self, capsys):
         # the chart window's length does not fit in a machine word
         code, out, err = run_cli(capsys, "oracle", "p1", "--k", str(10**20))

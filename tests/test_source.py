@@ -38,7 +38,7 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(modulidim.__all__) == sorted(bound)
 
 
-def test_every_traced_function_exists():
+def test_every_traced_function_exists(monkeypatch):
     # bench/tracer.py wraps functions by (module, attribute) name; a rename
     # in the package would break the traced benchmark run without this check
     path = TESTS.parent / "bench" / "tracer.py"
@@ -52,8 +52,49 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"modulidim.{module}"), attr, None))
     ]
     assert not missing, missing
-    # Tracer.__enter__ also wraps Dim.__post_init__ to count constructions
-    assert callable(getattr(modulidim.Dim, "__post_init__", None))
+    # Tracer.__enter__ also wraps Dim.__post_init__ to count constructions,
+    # so every way of making a Dim must call it through the class attribute
+    Dim = modulidim.Dim
+    post_init = Dim.__post_init__
+    constructed = []
+
+    def counted_post_init(dim):
+        constructed.append(dim)
+        post_init(dim)
+
+    monkeypatch.setattr(Dim, "__post_init__", counted_post_init)
+    for make in (lambda: Dim(1, 2), lambda: Dim.exact(3), lambda: Dim(1, 2) + 1):
+        before = len(constructed)
+        made = make()
+        assert len(constructed) > before and constructed[-1] is made
+
+
+# Runs in a ``python -S`` child, so that no site ``.pth`` file loads modules
+# first, and prints the modules that ``import modulidim.cli`` adds outside
+# the package.
+_IMPORTED_BY_CLI = """
+import sys
+before = set(sys.modules)
+import modulidim.cli
+print(" ".join(sorted(
+    name for name in set(sys.modules) - before if name.split(".")[0] != "modulidim"
+)))
+"""
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # each command is a fresh process, so these modules' import time (and,
+    # for dataclasses, each class built through exec) would be paid per command
+    env = dict(os.environ, PYTHONPATH=str(Path(modulidim.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORTED_BY_CLI],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "argparse" in added  # the child did import the command line
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert not heavy & added, sorted(heavy & added)
 
 
 # Runs in a ``python -O`` child from inside ``tests/golden``: every golden
