@@ -571,7 +571,7 @@ def _add_format(parser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="modulidim", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="modulidim", description="Command-line reports, sweeps, and oracle runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser("report", help="dimension ledgers and verdicts")
@@ -682,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = _dispatch(args)
-        if getattr(args, "require_exact", False) and _has_interval(doc):
+        if args.require_exact and _has_interval(doc):
             code = EXIT_INDETERMINATE
         (render_json if args.format == "json" else render_markdown)(doc, sys.stdout)
     except (PreconditionError, ValueError, OverflowError, OSError) as exc:

@@ -45,10 +45,6 @@ class Curve(Record):
 
     __slots__ = ("genus",)
 
-    def __init__(self, genus: int):
-        object.__setattr__(self, "genus", genus)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
@@ -58,10 +54,7 @@ class CurveLineBundle(Record):
     __slots__ = ("curve", "degree", "triviality")
 
     def __init__(self, curve: Curve, degree: int, triviality: Triviality = Triviality.GENERIC):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "triviality", triviality)
-        self.__post_init__()
+        super().__init__(curve, degree, triviality)
 
     def __post_init__(self):
         g, d, t = self.curve.genus, self.degree, self.triviality

@@ -38,34 +38,15 @@ class KoszulAssertionError(RuntimeError):
 class P1CechResult(Record):
     __slots__ = ("k", "h0", "h1", "window")
 
-    def __init__(self, k: int, h0: int, h1: int, window: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "window", window)
-
 
 class ProductCechResult(Record):
     __slots__ = ("a", "b", "h0", "h1", "h2", "window")
-
-    def __init__(self, a: int, b: int, h0: int, h1: int, h2: int, window: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "window", window)
 
 
 class KoszulModel(Record):
     """The quotient ``O / (x^a, y^b)``, a complete intersection of length ab."""
 
     __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
@@ -78,12 +59,6 @@ class KoszulModel(Record):
 
 class KoszulExtResult(Record):
     __slots__ = ("e0", "e1", "e2", "length")
-
-    def __init__(self, e0: int, e1: int, e2: int, length: int):
-        object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "length", length)
 
 
 def _chart_exponents(chart: int, k: int, N: int) -> range:

@@ -24,10 +24,6 @@ class PairingComponent(Record):
 
     __slots__ = ("pairing", "reason")
 
-    def __init__(self, pairing: str, reason: str):
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "reason", reason)
-
 
 class KilledPairingsVerdict(Record):
     """Why the obstruction pairing ignores the point-supported directions.
@@ -37,10 +33,6 @@ class KilledPairingsVerdict(Record):
     """
 
     __slots__ = ("components", "assumptions")
-
-    def __init__(self, components: tuple[PairingComponent, ...], assumptions: tuple[str, ...]):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "assumptions", assumptions)
 
 
 def _check_length(l: int) -> None:

@@ -30,10 +30,6 @@ class ProductSurface(Record):
 
     __slots__ = ("curve1", "curve2")
 
-    def __init__(self, curve1: Curve, curve2: Curve):
-        object.__setattr__(self, "curve1", curve1)
-        object.__setattr__(self, "curve2", curve2)
-
     @staticmethod
     def from_genera(g1: int, g2: int) -> "ProductSurface":
         return ProductSurface(Curve(g1), Curve(g2))
@@ -48,11 +44,6 @@ class Polarization(Record):
 
     __slots__ = ("alpha", "beta")
 
-    def __init__(self, alpha: int, beta: int):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("a polarization on a product of curves needs alpha, beta > 0")
@@ -60,10 +51,6 @@ class Polarization(Record):
 
 class SurfaceTopology(Record):
     __slots__ = ("b1", "b2_minus")
-
-    def __init__(self, b1: int, b2_minus: int):
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2_minus", b2_minus)
 
 
 class BidegreeBundle(Record):
@@ -77,10 +64,7 @@ class BidegreeBundle(Record):
 
     def __init__(self, surface: ProductSurface, bidegree: Pair,
                  factor_triviality: tuple[Triviality, Triviality] = (Triviality.GENERIC,) * 2):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "bidegree", bidegree)
-        object.__setattr__(self, "factor_triviality", factor_triviality)
-        self.__post_init__()
+        super().__init__(surface, bidegree, factor_triviality)
 
     def __post_init__(self):
         self.factors()  # validates flag/degree consistency

@@ -28,14 +28,6 @@ class UnstableFamilySpec(Record):
 
     __slots__ = ("surface", "ample", "det", "sub", "c2")
 
-    def __init__(self, surface: ProductSurface, ample: Pair, det: Pair, sub: Pair, c2: int):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "ample", ample)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "c2", c2)
-        self.__post_init__()
-
     def __post_init__(self):
         a, b = self.ample
         if a <= 0 or b <= 0:
@@ -43,12 +35,9 @@ class UnstableFamilySpec(Record):
 
 
 class ConditionVerdict(Record):
-    __slots__ = ("name", "status", "detail")
+    """One named condition; ``status`` is ``"pass"``, ``"fail"`` or ``"undecidable"``."""
 
-    def __init__(self, name: str, status: str, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)  # "pass" | "fail" | "undecidable"
-        object.__setattr__(self, "detail", detail)
+    __slots__ = ("name", "status", "detail")
 
 
 class ValidationVerdict(Record):
@@ -57,24 +46,12 @@ class ValidationVerdict(Record):
 
     __slots__ = ("conditions", "passed", "assumptions", "q_length")
 
-    def __init__(self, conditions: tuple[ConditionVerdict, ...], passed: bool,
-                 assumptions: tuple[str, ...], q_length: int):
-        object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "assumptions", assumptions)
-        object.__setattr__(self, "q_length", q_length)
-
     def failing(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.conditions if c.status != "pass")
 
 
 class SelectedTwist(Record):
     __slots__ = ("t", "family", "q_length")
-
-    def __init__(self, t: int, family: UnstableFamilySpec, q_length: int):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "q_length", q_length)
 
 
 def _vanishing_twist_bidegree(family: UnstableFamilySpec) -> Pair:

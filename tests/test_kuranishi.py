@@ -337,6 +337,17 @@ class TestComparisonReport:
         assert by_coords[(-1, 1)].orientation == "swapped"
         assert by_coords[(-1, 1)].margin == by_coords[(1, -1)].margin == 3
 
+    def test_outcome_coordinates_follow_the_enumeration(self):
+        # an outcome stores its orientation and report; (m, n, l) are read
+        # from the report, exchanged when the factors were swapped
+        for surface, c2 in ((P1P1, 2), (G23, 7)):
+            report = homology_comparison_report(surface, W, c2, 5)
+            mixed, _ = enumerate_strata(surface, W, c2, 5)
+            assert [(s.m, s.n, s.q_length, s.orientation) for s in report.strata] == mixed
+            swapped = [s for s in report.strata if s.orientation == "swapped"]
+            assert swapped
+            assert all((s.report.m, s.report.n) == (s.n, s.m) for s in swapped)
+
     def test_not_established_path(self):
         report = homology_comparison_report(G23, W, 2, 5)
         assert report.verdict == "not-established"

@@ -1,6 +1,7 @@
 """The value contract every record of the package keeps: equality and hash
-by field values, the ``Name(field=value, ...)`` repr, immutability, and
-``copy``/``pickle`` round trips."""
+by field values, the ``Name(field=value, ...)`` repr, immutability,
+``copy``/``pickle`` round trips, and a constructor that binds arguments like
+a plain signature and runs the record's checks."""
 
 import copy
 import pickle
@@ -19,7 +20,13 @@ from modulidim.kuranishi import (
 )
 from modulidim.oracle import KoszulExtResult, KoszulModel, P1CechResult, ProductCechResult
 from modulidim.skyscraper import KilledPairingsVerdict, PairingComponent
-from modulidim.surface import BidegreeBundle, Polarization, ProductSurface, SurfaceTopology
+from modulidim.surface import (
+    BidegreeBundle,
+    Polarization,
+    PreconditionError,
+    ProductSurface,
+    SurfaceTopology,
+)
 from modulidim.unstable import (
     ConditionVerdict,
     SelectedTwist,
@@ -31,7 +38,7 @@ _SURFACE = ProductSurface(Curve(0), Curve(2))
 _POLARIZATION = Polarization(2, 1)
 _STRATUM = SplitStratum(_SURFACE, 1, -1, _POLARIZATION)
 _REPORT = component_report(_STRATUM)
-_OUTCOME = StratumOutcome(1, -1, 0, "L", _REPORT)
+_OUTCOME = StratumOutcome("standard", _REPORT)
 _FAMILY = UnstableFamilySpec(_SURFACE, (1, 1), (0, 0), (2, 2), 3)
 _CONDITION = ConditionVerdict("c2-bound", "pass", "q = 3")
 _COMPONENT = PairingComponent("h0-pairing", "vanishes")
@@ -43,7 +50,7 @@ _REPORT_REPR = (
     "KuranishiReport(g1=0, g2=2, m=1, n=-1, alpha=2, beta=1, q_length=0, t_u=Dim(9), "
     "comp_i_target=Dim(0), codim=Dim[1..3], equations=Dim[0..2])"
 )
-_OUTCOME_REPR = f"StratumOutcome(m=1, n=-1, q_length=0, orientation='L', report={_REPORT_REPR})"
+_OUTCOME_REPR = f"StratumOutcome(orientation='standard', report={_REPORT_REPR})"
 _FAMILY_REPR = (
     f"UnstableFamilySpec(surface={_SURFACE_REPR}, ample=(1, 1), det=(0, 0), sub=(2, 2), c2=3)"
 )
@@ -104,15 +111,16 @@ SAMPLES = [
 ]
 
 
+_IDS = [type(record).__name__ for record, _ in SAMPLES]
+
+
 def test_samples_cover_every_record_class():
     assert sorted(type(record).__name__ for record, _ in SAMPLES) == sorted(
         cls.__name__ for cls in Record.__subclasses__()
     )
 
 
-@pytest.mark.parametrize(
-    "record, expected_repr", SAMPLES, ids=[type(record).__name__ for record, _ in SAMPLES]
-)
+@pytest.mark.parametrize("record, expected_repr", SAMPLES, ids=_IDS)
 def test_record_contract(record, expected_repr):
     cls = type(record)
     values = {name: getattr(record, name) for name in cls.__slots__}
@@ -136,3 +144,79 @@ def test_record_contract(record, expected_repr):
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls
         assert clone == record and hash(clone) == hash(record)
+
+
+@pytest.mark.parametrize("record, _repr", SAMPLES, ids=_IDS)
+def test_bad_calls_raise_type_error(record, _repr):
+    # the four ways a call can miss a plain signature
+    cls = type(record)
+    values = {name: getattr(record, name) for name in cls.__slots__}
+    first, *others = cls.__slots__
+    bad_calls = {
+        "too many": lambda: cls(*values.values(), 0),
+        "missing": lambda: cls(**{name: values[name] for name in others}),
+        "unknown keyword": lambda: cls(**values, extra=0),
+        "given twice": lambda: cls(values[first], **values),
+    }
+    for kind, call in bad_calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        pytest.fail(f"{cls.__name__}: {kind} raised no TypeError")
+
+
+# Every record with a check in ``__post_init__``: valid fields, one field
+# replaced by a value the check refuses, and the error it raises.
+CHECKED = [
+    (Dim, {"lower": 1, "upper": 2}, {"lower": -1}, ValueError),
+    (Dim, {"lower": 1, "upper": 2}, {"upper": 0}, ValueError),
+    (Curve, {"genus": 2}, {"genus": -1}, ValueError),
+    (
+        CurveLineBundle,
+        {"curve": Curve(1), "degree": 0, "triviality": Triviality.TRIVIAL},
+        {"degree": 1},
+        ValueError,
+    ),
+    (Polarization, {"alpha": 2, "beta": 1}, {"beta": 0}, ValueError),
+    (
+        BidegreeBundle,
+        {"surface": _SURFACE, "bidegree": (0, 0),
+         "factor_triviality": (Triviality.TRIVIAL, Triviality.TRIVIAL)},
+        {"bidegree": (0, 1)},
+        ValueError,
+    ),
+    (
+        SplitStratum,
+        {"surface": _SURFACE, "m": 1, "n": -1, "polarization": _POLARIZATION},
+        {"n": -3},
+        PreconditionError,
+    ),
+    (
+        UnstableFamilySpec,
+        {"surface": _SURFACE, "ample": (1, 1), "det": (0, 0), "sub": (2, 2), "c2": 3},
+        {"ample": (0, 1)},
+        PreconditionError,
+    ),
+    (KoszulModel, {"a": 2, "b": 3}, {"a": 0}, ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, good, bad, error", CHECKED, ids=[f"{c[0].__name__}-{next(iter(c[2]))}" for c in CHECKED]
+)
+def test_checks_run_by_position_and_by_keyword(cls, good, bad, error):
+    assert cls(*good.values()) == cls(**good)
+    fields = {**good, **bad}
+    with pytest.raises(error):
+        cls(*fields.values())
+    with pytest.raises(error):
+        cls(**fields)
+
+
+def test_only_records_with_defaults_or_hot_paths_define_init():
+    # every other record is built by Record.__init__; Dim and KuranishiReport
+    # are built tens of thousands of times per sweep, and the other two give
+    # a field a default
+    own_init = {cls.__name__ for cls in Record.__subclasses__() if "__init__" in vars(cls)}
+    assert own_init == {"Dim", "KuranishiReport", "CurveLineBundle", "BidegreeBundle"}

@@ -8,6 +8,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import modulidim
 
 TESTS = Path(__file__).resolve().parent
@@ -97,7 +99,7 @@ def test_cli_import_loads_no_heavy_stdlib_module():
     assert not heavy & added, sorted(heavy & added)
 
 
-# Runs in a ``python -O`` child from inside ``tests/golden``: every golden
+# Runs in a ``python -O`` or ``-OO`` child from inside ``tests/golden``: every golden
 # command through ``cli.main``, printing the name of each whose stdout or exit
 # code differs from its golden file, then the number of commands run. It does
 # not import ``test_golden``, whose ``pytest`` import would triple its time.
@@ -105,7 +107,7 @@ _GOLDEN_UNDER_O = """
 import contextlib, io, json, sys
 from pathlib import Path
 from modulidim.cli import main
-if not sys.flags.optimize:
+if sys.flags.optimize < 1:
     sys.exit("-O is not in effect")
 commands = json.loads(Path("commands.json").read_text(encoding="utf-8"))
 for command in commands:
@@ -119,14 +121,15 @@ print(len(commands))
 """
 
 
-def test_golden_output_under_python_O():
-    # -O strips asserts and sets __debug__ to False; no document or exit
-    # code may depend on either
+@pytest.mark.parametrize("flag", ["-O", "-OO"])
+def test_golden_output_under_python_O(flag):
+    # -O strips asserts and sets __debug__ to False, and -OO also strips
+    # docstrings; no document or exit code may depend on any of these
     golden = TESTS / "golden"
     commands = json.loads((golden / "commands.json").read_text(encoding="utf-8"))
     env = dict(os.environ, PYTHONPATH=str(Path(modulidim.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _GOLDEN_UNDER_O],
+        [sys.executable, flag, "-c", _GOLDEN_UNDER_O],
         cwd=golden, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
