@@ -174,10 +174,46 @@ class StratumOutcome(Record):
 
 
 class ComparisonReport(Record):
-    """Aggregate margin check over all enumerated unstable strata."""
+    """Aggregate margin check over all enumerated unstable strata.
 
-    __slots__ = ("surface", "polarization", "c2", "bound", "strata",
-                 "excluded", "not_established", "min_margin", "verdict")
+    Verdicts, in order of precedence: ``"false"`` when some established
+    margin fails to exceed ``c2``, which decides the question whatever the
+    other strata say; ``"not-established"`` when some stratum falls outside
+    the hypotheses of the margin formulas; ``"true"`` otherwise, when every
+    margin is established and exceeds ``c2`` (vacuously true with no
+    strata). Not-established strata are listed with every verdict.
+    """
+
+    __slots__ = ("surface", "polarization", "c2", "bound", "strata", "excluded")
+
+    @property
+    def not_established(self) -> tuple[dict, ...]:
+        return tuple(
+            {
+                "m": o.m,
+                "n": o.n,
+                "l": o.q_length,
+                "reason": (
+                    "the Euler characteristic entering the margin is "
+                    f"not positive (chi = {o.report.chi2} after orientation)"
+                ),
+            }
+            for o in self.strata
+            if not o.established
+        )
+
+    @property
+    def min_margin(self) -> int | None:
+        return min((o.margin for o in self.strata if o.established), default=None)
+
+    @property
+    def verdict(self) -> str:
+        min_margin = self.min_margin
+        if min_margin is not None and min_margin <= self.c2:
+            return "false"
+        if any(not o.established for o in self.strata):
+            return "not-established"
+        return "true"
 
 
 def toy_domain_dim(m: int, n: int) -> int:
@@ -308,27 +344,33 @@ def enumerate_strata(
     A type is admissible when its polarization degree is nonnegative and
     ``l = c2 + 2mn`` is nonnegative. The margin analysis applies to mixed
     bidegrees; when the negative entry sits in the first slot, the factor
-    roles swap. Types with ``mn >= 0`` fall in the regime of families
-    consisting only of unstable bundles, which are removed before the
-    comparison; they are returned separately as ``{m, n, l}`` entries so
-    nothing is silently skipped.
+    roles swap. A mixed type has ``|m| |n| <= c2 / 2``, so the walk covers
+    that hyperbola rather than the box. Types with ``mn >= 0`` fall in the
+    regime of families consisting only of unstable bundles, which are
+    removed before the comparison; with positive ``alpha`` and ``beta`` the
+    admissible ones are exactly the quadrant ``m, n >= 0``, returned
+    separately as ``{m, n, l}`` entries so nothing is silently skipped.
+    Both lists are in ascending ``(m, n)`` order.
     """
+    if c2 < 1:
+        raise PreconditionError(f"c2 must be >= 1, got {c2}")
+    if bound < 1:
+        raise PreconditionError(f"the enumeration bound must be >= 1, got {bound}")
+
     mixed: list[tuple[int, int, int, str]] = []
-    excluded: list[dict] = []
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
-            l = c2 + 2 * m * n
-            if l < 0:
-                continue
-            if degree_wrt((m, n), w) < 0:
-                continue
-            if m * n >= 0:
-                excluded.append({"m": m, "n": n, "l": l})
-                continue
-            orientation = "standard" if m >= 1 else "swapped"
-            mixed.append((m, n, l, orientation))
-    mixed.sort()
-    excluded.sort(key=lambda e: (e["m"], e["n"], e["l"]))
+    top = min(bound, c2 // 2)
+    for m in range(-top, top + 1):
+        if m == 0:
+            continue
+        reach = min(bound, c2 // (2 * abs(m)))
+        for n in range(1, reach + 1) if m < 0 else range(-reach, 0):
+            if degree_wrt((m, n), w) >= 0:
+                mixed.append((m, n, c2 + 2 * m * n, "standard" if m >= 1 else "swapped"))
+    excluded = [
+        {"m": m, "n": n, "l": c2 + 2 * m * n}
+        for m in range(bound + 1)
+        for n in range(bound + 1)
+    ]
     return mixed, excluded
 
 
@@ -337,53 +379,21 @@ def homology_comparison_report(
 ) -> ComparisonReport:
     """Aggregate margin check: does every enumerated stratum clear ``c2``?
 
-    Verdicts, in order of precedence: ``"false"`` when some established
-    margin fails to exceed ``c2``, which decides the question whatever the
-    other strata say; ``"not-established"`` when some stratum falls outside
-    the hypotheses of the margin formulas; ``"true"`` otherwise, when every
-    margin is established and exceeds ``c2`` (vacuously true with no
-    strata). Not-established strata are listed with every verdict.
+    Each stratum of :func:`enumerate_strata` gets its nonfiltrable ledger;
+    the verdict and its precedence are those of :class:`ComparisonReport`.
     Enumeration is complete only within the box ``|m|, |n| <= bound``.
     """
-    if c2 < 1:
-        raise PreconditionError(f"c2 must be >= 1, got {c2}")
-    if bound < 1:
-        raise PreconditionError(f"the enumeration bound must be >= 1, got {bound}")
-
     mixed, excluded = enumerate_strata(surface, w, c2, bound)
     # the swapped strata share one surface and polarization, factors exchanged
     swapped_surface = ProductSurface(surface.curve2, surface.curve1)
     swapped_w = Polarization(w.beta, w.alpha)
     outcomes = []
-    failing = []
     for m, n, l, orientation in mixed:
         if orientation == "standard":
             split = SplitStratum(surface, m, n, w)
         else:
             split = SplitStratum(swapped_surface, n, m, swapped_w)
-        report = nonfiltrable_report(split, l)
-        outcomes.append(StratumOutcome(orientation, report))
-        if not report.margin_established:
-            failing.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "l": l,
-                    "reason": (
-                        "the Euler characteristic entering the margin is "
-                        f"not positive (chi = {report.chi2} after orientation)"
-                    ),
-                }
-            )
-
-    established = [o.margin for o in outcomes if o.established]
-    min_margin = min(established) if established else None
-    if min_margin is not None and min_margin <= c2:
-        verdict = "false"
-    elif failing:
-        verdict = "not-established"
-    else:
-        verdict = "true"
+        outcomes.append(StratumOutcome(orientation, nonfiltrable_report(split, l)))
     return ComparisonReport(
         surface=surface,
         polarization=w,
@@ -391,7 +401,4 @@ def homology_comparison_report(
         bound=bound,
         strata=tuple(outcomes),
         excluded=tuple(excluded),
-        not_established=tuple(failing),
-        min_margin=min_margin,
-        verdict=verdict,
     )

@@ -7,8 +7,10 @@ the gcd), which keeps every intermediate value an integer.
 
 Every oracle ranks through the sparse routine, keyed on dict-encoded rows
 (or columns: rank is unchanged under transpose). The oracle matrices are
-large but have only a couple of nonzero entries per row. The dense routine
-is kept as an independent reference that the tests check it against.
+large but have only one or two nonzero entries per row, so the sparse
+routine settles a one-entry row without arithmetic and reduces only rows
+that meet a pivot with more than one entry. The dense routine is kept as an
+independent reference that the tests check it against.
 """
 
 from __future__ import annotations
@@ -54,40 +56,58 @@ def dense_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _reduced(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank of an integer matrix given as sparse rows ``{column: value}``.
 
     Maintains a pivot row per leading column; each incoming row is reduced
     against existing pivots until it either empties out or claims a fresh
-    leading column.
+    leading column, divided by the gcd of its entries. A one-entry row
+    becomes a pivot of +1 or -1 at once, or vanishes against a one-entry pivot.
+    Rows are never modified: a row that holds a zero is copied without it,
+    and a caller's row may be kept as a pivot as it is.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for incoming in rows:
-        row = {c: v for c, v in incoming.items() if v != 0}
+    for row in rows:
+        if len(row) > 1 and 0 in row.values():
+            row = {c: v for c, v in row.items() if v != 0}
         while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = _reduced(row)
-                break
+            if len(row) == 1:
+                [(lead, v)] = row.items()
+                if v == 0:
+                    break
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = row if v == 1 or v == -1 else {lead: 1 if v > 0 else -1}
+                    break
+                if len(pivot) == 1:
+                    break
+            else:
+                lead = min(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    g = 0
+                    for v in row.values():
+                        g = gcd(g, v)
+                        if g == 1:
+                            break
+                    else:
+                        row = {c: v // g for c, v in row.items()}
+                    pivots[lead] = row
+                    break
+                if len(pivot) == 1:
+                    # a one-entry pivot clears the lead and touches nothing else
+                    row = {c: v for c, v in row.items() if c != lead}
+                    continue
             p, v = pivot[lead], row[lead]
             g = gcd(p, v)
             a, b = p // g, v // g
-            merged: dict[int, int] = {}
-            for c in row.keys() | pivot.keys():
-                x = a * row.get(c, 0) - b * pivot.get(c, 0)
-                if x != 0:
-                    merged[c] = x
+            merged = {c: a * x for c, x in row.items() if c != lead}
+            for c, y in pivot.items():
+                if c != lead:
+                    x = merged.get(c, 0) - b * y
+                    if x:
+                        merged[c] = x
+                    else:
+                        del merged[c]
             row = merged
     return len(pivots)

@@ -10,7 +10,12 @@ Three oracles, all over exact integer arithmetic:
   quotients ``O / (x^a, y^b)``.
 
 Infinite section spaces are truncated to a monomial exponent window
-``[-N, N]``. Correctness of a truncated answer is certified operationally:
+``[-N, N]``. The chart complexes are sparse columns whose row indices are
+computed from the exponents (overlap exponent ``e`` is row ``e + N``, each
+block at a fixed offset), with no index tables. Every block size is taken
+from the length of an exponent range before any column is built, so a
+window too long for a machine word raises :class:`OverflowError` at once.
+Correctness of a truncated answer is certified operationally:
 every result is recomputed at window ``N + 1``, and a change in any
 dimension raises :class:`StabilizationError`. The Koszul oracle raises
 :class:`KoszulAssertionError` when a differential fails to vanish. The
@@ -76,12 +81,11 @@ def _p1_dims(k: int, N: int) -> tuple[int, int]:
     exps0 = _chart_exponents(0, k, N)
     exps1 = _chart_exponents(1, k, N)
     n0 = len(exps0) + len(exps1)
-    overlap_index = {e: i for i, e in enumerate(range(-N, N + 1))}
-    n1 = len(overlap_index)
+    n1 = len(range(-N, N + 1))
     # One column per chart section; the differential is the restriction
-    # difference on the overlap.
-    columns = [{overlap_index[e]: -1} for e in exps0]
-    columns += [{overlap_index[e]: 1} for e in exps1]
+    # difference on the overlap, whose exponent e is row e + N.
+    columns = [{e + N: -1} for e in exps0]
+    columns += [{e + N: 1} for e in exps1]
     rank = sparse_rank(columns)
     return n0 - rank, n1 - rank
 
@@ -106,58 +110,53 @@ def cech_h_p1(k: int, N: int | None = None) -> P1CechResult:
 
 
 def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
-    """Total-complex cohomology of the four-chart double complex."""
-    sign = {0: -1, 1: 1}
+    """Total-complex cohomology of the four-chart double complex.
 
-    t0 = [
-        (cx, cy, e, f)
-        for cx in (0, 1)
-        for cy in (0, 1)
-        for e in _chart_exponents(cx, a, N)
-        for f in _chart_exponents(cy, b, N)
-    ]
-    t1 = [
-        ("x", cy, e, f)
-        for cy in (0, 1)
-        for e in range(-N, N + 1)
-        for f in _chart_exponents(cy, b, N)
-    ]
-    t1 += [
-        ("y", cx, e, f)
-        for cx in (0, 1)
-        for e in _chart_exponents(cx, a, N)
-        for f in range(-N, N + 1)
-    ]
-    t2 = [(e, f) for e in range(-N, N + 1) for f in range(-N, N + 1)]
-
-    t1_index = {key: i for i, key in enumerate(t1)}
-    t2_index = {key: i for i, key in enumerate(t2)}
+    Sections are indexed by arithmetic on their exponents. The t1 terms are
+    the x-overlap blocks (overlap exponent e, chart-cy exponent f), one per
+    y-chart cy, then the y-overlap blocks (chart-cx exponent e, overlap
+    exponent f), one per x-chart cx; each block is row-major in (e, f). The
+    t2 term is the double overlap, row-major in (e, f).
+    """
+    sign = (-1, 1)
+    overlap = range(-N, N + 1)
+    x_charts = (_chart_exponents(0, a, N), _chart_exponents(1, a, N))
+    y_charts = (_chart_exponents(0, b, N), _chart_exponents(1, b, N))
+    w = len(overlap)
+    x_sizes = [len(es) for es in x_charts]
+    y_sizes = [len(fs) for fs in y_charts]
+    x_offsets = (0, w * y_sizes[0])
+    y_offsets = (w * sum(y_sizes), w * (sum(y_sizes) + x_sizes[0]))
+    n0 = sum(x_sizes) * sum(y_sizes)
+    n1 = w * (sum(y_sizes) + sum(x_sizes))
+    n2 = w * w
 
     # d0: restrict each double-chart section to the two adjacent overlaps.
-    d0_cols = [
-        {
-            t1_index[("x", cy, e, f)]: sign[cx],
-            t1_index[("y", cx, e, f)]: sign[cy],
-        }
-        for (cx, cy, e, f) in t0
-    ]
+    d0_cols = []
+    for cx, es in enumerate(x_charts):
+        for cy, fs in enumerate(y_charts):
+            sx, sy, size = sign[cx], sign[cy], y_sizes[cy]
+            for e in es:
+                x_row = x_offsets[cy] + (e + N) * size
+                y_row = y_offsets[cx] + (e - es.start) * w + N + fs.start
+                d0_cols += [{x_row + j: sx, y_row + j: sy} for j in range(size)]
     # d1: the remaining restrictions, with a sign twist on the y-part so
     # that the composite with d0 vanishes.
     d1_cols = []
-    for key in t1:
-        if key[0] == "x":
-            _, cy, e, f = key
-            d1_cols.append({t2_index[(e, f)]: sign[cy]})
-        else:
-            _, cx, e, f = key
-            d1_cols.append({t2_index[(e, f)]: -sign[cx]})
+    for cy, fs in enumerate(y_charts):
+        s = sign[cy]
+        for e in overlap:
+            base = (e + N) * w + N
+            d1_cols += [{base + f: s} for f in fs]
+    for cx, es in enumerate(x_charts):
+        s = -sign[cx]
+        for e in es:
+            base = (e + N) * w
+            d1_cols += [{base + j: s} for j in range(w)]
 
     rank0 = sparse_rank(d0_cols)
     rank1 = sparse_rank(d1_cols)
-    h0 = len(t0) - rank0
-    h1 = len(t1) - rank0 - rank1
-    h2 = len(t2) - rank1
-    return h0, h1, h2
+    return n0 - rank0, n1 - rank0 - rank1, n2 - rank1
 
 
 def cech_h_product(a: int, b: int, N: int | None = None) -> ProductCechResult:
@@ -181,16 +180,15 @@ def _multiplication_matrix(model: KoszulModel, dx: int, dy: int) -> list[dict[in
     """Multiplication by ``x^dx y^dy`` on ``O / (x^a, y^b)``, as sparse columns.
 
     One column ``{row: value}`` per basis monomial ``x^i y^j`` with ``i < a``
-    and ``j < b``; a product whose exponents leave the box is zero in the
-    quotient and gives an empty column.
+    and ``j < b``, whose index is ``i * b + j``; a product whose exponents
+    leave the box is zero in the quotient and gives an empty column.
     """
-    basis = [(i, j) for i in range(model.a) for j in range(model.b)]
-    index = {m: idx for idx, m in enumerate(basis)}
-    columns = []
-    for i, j in basis:
-        target = index.get((i + dx, j + dy))
-        columns.append({} if target is None else {target: 1})
-    return columns
+    a, b = model.a, model.b
+    return [
+        {(i + dx) * b + j + dy: 1} if 0 <= i + dx < a and 0 <= j + dy < b else {}
+        for i in range(a)
+        for j in range(b)
+    ]
 
 
 def koszul_ext(model: KoszulModel) -> KoszulExtResult:

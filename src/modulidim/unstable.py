@@ -44,7 +44,11 @@ class ValidationVerdict(Record):
     """The three conditions, and the point count ``c2 + L^2 - L.R``, which
     is negative exactly when the c2 bound fails."""
 
-    __slots__ = ("conditions", "passed", "assumptions", "q_length")
+    __slots__ = ("conditions", "assumptions", "q_length")
+
+    @property
+    def passed(self) -> bool:
+        return not self.failing()
 
     def failing(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.conditions if c.status != "pass")
@@ -106,7 +110,6 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     conditions = (slope, vanishing, c2_bound)
     return ValidationVerdict(
         conditions=conditions,
-        passed=all(c.status == "pass" for c in conditions),
         assumptions=(
             "every nonempty finite point set has the Cayley-Bacharach "
             "property with respect to the vanishing twist (granted by the "

@@ -295,6 +295,12 @@ class TestOracleCommands:
         assert (code, out) == (1, "")
         assert err.startswith("modulidim: error:") and err.count("\n") == 1
 
+    def test_bidegree_too_large_exits_one_with_one_line(self, capsys):
+        # every block size is taken before any column is built
+        code, out, err = run_cli(capsys, "oracle", "product", "--a", str(10**20), "--b", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("modulidim: error:") and err.count("\n") == 1
+
 
 _SWEEP_KEYS = ("g1", "g2", "m_range", "n_range", "l_range", "alpha", "beta")
 

@@ -3,6 +3,7 @@ import pytest
 from modulidim.curves import CurveLineBundle, euler_characteristic, h0_h1, h0_h1_bounds
 from modulidim.dims import Dim
 from modulidim.kuranishi import (
+    ComparisonReport,
     SplitStratum,
     component_report,
     enumerate_strata,
@@ -26,6 +27,23 @@ W = Polarization(1, 1)
 P1P1 = ProductSurface.from_genera(0, 0)
 G22 = ProductSurface.from_genera(2, 2)
 G23 = ProductSurface.from_genera(2, 3)
+
+
+def _box_scan(w, c2, bound):
+    """Every admissible type in the box ``|m|, |n| <= bound``, scanned."""
+    mixed, excluded = [], []
+    for m in range(-bound, bound + 1):
+        for n in range(-bound, bound + 1):
+            l = c2 + 2 * m * n
+            if l < 0 or w.alpha * m + w.beta * n < 0:
+                continue
+            if m * n >= 0:
+                excluded.append({"m": m, "n": n, "l": l})
+            else:
+                mixed.append((m, n, l, "standard" if m >= 1 else "swapped"))
+    mixed.sort()
+    excluded.sort(key=lambda e: (e["m"], e["n"], e["l"]))
+    return mixed, excluded
 
 
 def split(surface, m, n, w=W):
@@ -383,11 +401,34 @@ class TestComparisonReport:
             assert m + 2 * n >= 0
             assert m * n < 0
 
+    def test_enumeration_equals_the_box_scan(self):
+        # the hyperbola walk and the direct quadrant give what scanning the
+        # whole box with the admissibility tests gives, in the same order
+        for w in (Polarization(1, 1), Polarization(1, 3), Polarization(4, 1)):
+            for c2 in range(1, 14):
+                for bound in (1, 2, 5, 8):
+                    assert enumerate_strata(P1P1, w, c2, bound) == _box_scan(w, c2, bound)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(PreconditionError):
             homology_comparison_report(P1P1, W, 0, 5)
         with pytest.raises(PreconditionError):
             homology_comparison_report(P1P1, W, 2, 0)
+        with pytest.raises(PreconditionError):
+            enumerate_strata(P1P1, W, 0, 5)
+        with pytest.raises(PreconditionError):
+            enumerate_strata(P1P1, W, 2, 0)
+
+    def test_verdict_follows_the_stored_strata(self):
+        # the minimum margin, verdict and not-established list are read from
+        # the strata and c2, so the same strata against a smaller c2 decide anew
+        report = homology_comparison_report(ProductSurface.from_genera(0, 3), W, 8, 6)
+        assert (report.verdict, report.min_margin) == ("false", 6)
+        lower = ComparisonReport(report.surface, W, 5, 6, report.strata, report.excluded)
+        assert (lower.verdict, lower.min_margin) == ("not-established", 6)
+        assert lower.not_established == report.not_established
+        empty = ComparisonReport(report.surface, W, 8, 6, (), ())
+        assert (empty.verdict, empty.min_margin, empty.not_established) == ("true", None, ())
 
     def test_vacuously_true_when_no_strata(self):
         # c2 = 1 admits no mixed stratum: l = 1 + 2mn < 0 for all mn < 0

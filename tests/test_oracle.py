@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import modulidim
+import modulidim.oracle as oracle_module
 from modulidim.curves import Curve, CurveLineBundle, h0_h1
 from modulidim.dims import Dim
 from modulidim.linalg import dense_rank, sparse_rank
@@ -41,6 +42,21 @@ def _integer_matrices(draw):
         [0 if r in zero_rows or c in zero_cols else draw(_ENTRIES) for c in range(ncols)]
         for r in range(nrows)
     ]
+
+
+@st.composite
+def _oracle_shaped_rows(draw):
+    """Rows shaped like the oracles' matrices: one or two entries, columns
+    from a short range so one-entry rows repeat a column, with explicit
+    zeros and non-unit values such as ``{c: 6}`` and ``{c: 4, d: 6}``; a
+    row object may also recur in the list."""
+    ncols = draw(st.integers(1, 6))
+    column = st.integers(0, ncols - 1)
+    value = st.one_of(st.sampled_from([1, -1]), st.just(0), st.sampled_from([-6, -4, 2, 4, 6]))
+    rows = draw(st.lists(st.dictionaries(column, value, min_size=1, max_size=2), max_size=12))
+    if rows and draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    return ncols, rows
 
 
 class TestRank:
@@ -75,6 +91,116 @@ class TestRank:
         columns = [{r: row[c] for r, row in enumerate(m) if row[c]} for c in range(ncols)]
         assert sparse_rank(rows) == dense_rank(m)
         assert sparse_rank(columns) == dense_rank(m)
+
+    @given(_oracle_shaped_rows())
+    def test_sparse_matches_dense_on_oracle_shaped_rows(self, drawn):
+        ncols, rows = drawn
+        before = [dict(row) for row in rows]
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert sparse_rank(rows) == dense_rank(dense)
+        # pivots may be the caller's rows; none of them is changed
+        assert rows == before
+
+
+def _reference_p1_dims(k: int, N: int) -> tuple[int, int]:
+    """The chart complex of :func:`cech_h_p1` built from tuple-keyed index
+    tables, as a reference for the index arithmetic."""
+    exps0 = oracle_module._chart_exponents(0, k, N)
+    exps1 = oracle_module._chart_exponents(1, k, N)
+    n0 = len(exps0) + len(exps1)
+    overlap_index = {e: i for i, e in enumerate(range(-N, N + 1))}
+    n1 = len(overlap_index)
+    columns = [{overlap_index[e]: -1} for e in exps0]
+    columns += [{overlap_index[e]: 1} for e in exps1]
+    rank = sparse_rank(columns)
+    return n0 - rank, n1 - rank
+
+
+def _reference_product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
+    """The double complex of :func:`cech_h_product` built from tuple-keyed
+    index tables, as a reference for the index arithmetic."""
+    chart_exponents = oracle_module._chart_exponents
+    sign = {0: -1, 1: 1}
+    t0 = [
+        (cx, cy, e, f)
+        for cx in (0, 1)
+        for cy in (0, 1)
+        for e in chart_exponents(cx, a, N)
+        for f in chart_exponents(cy, b, N)
+    ]
+    t1 = [
+        ("x", cy, e, f)
+        for cy in (0, 1)
+        for e in range(-N, N + 1)
+        for f in chart_exponents(cy, b, N)
+    ]
+    t1 += [
+        ("y", cx, e, f)
+        for cx in (0, 1)
+        for e in chart_exponents(cx, a, N)
+        for f in range(-N, N + 1)
+    ]
+    t2 = [(e, f) for e in range(-N, N + 1) for f in range(-N, N + 1)]
+    t1_index = {key: i for i, key in enumerate(t1)}
+    t2_index = {key: i for i, key in enumerate(t2)}
+    d0_cols = [
+        {t1_index[("x", cy, e, f)]: sign[cx], t1_index[("y", cx, e, f)]: sign[cy]}
+        for (cx, cy, e, f) in t0
+    ]
+    d1_cols = []
+    for key in t1:
+        if key[0] == "x":
+            _, cy, e, f = key
+            d1_cols.append({t2_index[(e, f)]: sign[cy]})
+        else:
+            _, cx, e, f = key
+            d1_cols.append({t2_index[(e, f)]: -sign[cx]})
+    rank0 = sparse_rank(d0_cols)
+    rank1 = sparse_rank(d1_cols)
+    return len(t0) - rank0, len(t1) - rank0 - rank1, len(t2) - rank1
+
+
+class TestIndexArithmetic:
+    """The chart complexes equal the tuple-keyed reference builders."""
+
+    def test_p1_dims_match_reference(self):
+        for k in range(-7, 8):
+            need = abs(k) + 2
+            for N in range(need, need + 3):
+                assert oracle_module._p1_dims(k, N) == _reference_p1_dims(k, N), (k, N)
+
+    def test_product_dims_match_reference(self):
+        for sa in (1, -1):
+            for sb in (1, -1):
+                for a in range(4):
+                    for b in range(4):
+                        need = max(a, b) + 2
+                        for N in range(need, need + 3):
+                            got = oracle_module._product_dims(sa * a, sb * b, N)
+                            want = _reference_product_dims(sa * a, sb * b, N)
+                            assert got == want, (sa * a, sb * b, N)
+
+    def test_same_matrices_as_reference(self, monkeypatch):
+        # the same columns reach the rank, entry for entry
+        seen = []
+        record = lambda rows: seen.append(rows) or 0  # noqa: E731
+        monkeypatch.setattr(oracle_module, "sparse_rank", record)
+        monkeypatch.setitem(globals(), "sparse_rank", record)
+
+        def matrices(builder, *args):
+            seen.clear()
+            builder(*args)
+            return list(seen)
+
+        for a, b in ((2, -1), (-3, 1), (0, 0), (-2, -2)):
+            N = max(abs(a), abs(b)) + 3
+            assert matrices(oracle_module._product_dims, a, b, N) == matrices(
+                _reference_product_dims, a, b, N
+            )
+        for k in (-4, 0, 3):
+            assert matrices(oracle_module._p1_dims, k, abs(k) + 2) == matrices(
+                _reference_p1_dims, k, abs(k) + 2
+            )
 
 
 class TestP1Oracle:
@@ -232,8 +358,6 @@ def _identity_multiplication(model, dx, dy):
 
 
 def test_koszul_guard_trips_on_nonzero_differential(monkeypatch):
-    import modulidim.oracle as oracle_module
-
     monkeypatch.setattr(oracle_module, "_multiplication_matrix", _identity_multiplication)
     with pytest.raises(KoszulAssertionError):
         koszul_ext(KoszulModel(2, 2))
@@ -253,8 +377,6 @@ class TestInternalCheckExitCode:
         assert captured.err.count("\n") == 1
 
     def test_unstabilized_p1_exits_four(self, monkeypatch, capsys):
-        import modulidim.oracle as oracle_module
-
         # a window-dependent answer: windows N and N + 1 disagree
         monkeypatch.setattr(oracle_module, "_p1_dims", lambda k, N: (N, 0))
         with pytest.raises(StabilizationError):
@@ -262,15 +384,11 @@ class TestInternalCheckExitCode:
         self._assert_exits_four(capsys, "oracle", "p1", "--k", "2")
 
     def test_unstabilized_product_exits_four(self, monkeypatch, capsys):
-        import modulidim.oracle as oracle_module
-
         monkeypatch.setattr(oracle_module, "_product_dims", lambda a, b, N: (N, 0, 0))
         self._assert_exits_four(
             capsys, "oracle", "product", "--a", "1", "--b", "-1", "--format", "markdown"
         )
 
     def test_nonvanishing_koszul_differential_exits_four(self, monkeypatch, capsys):
-        import modulidim.oracle as oracle_module
-
         monkeypatch.setattr(oracle_module, "_multiplication_matrix", _identity_multiplication)
         self._assert_exits_four(capsys, "oracle", "koszul", "--a", "2", "--b", "2")

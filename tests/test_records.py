@@ -81,18 +81,15 @@ SAMPLES = [
     (_REPORT, _REPORT_REPR),
     (_OUTCOME, _OUTCOME_REPR),
     (
-        ComparisonReport(
-            _SURFACE, _POLARIZATION, 6, 2, (_OUTCOME,), ((0, 0, 0),), (), 5, "true"
-        ),
+        ComparisonReport(_SURFACE, _POLARIZATION, 6, 2, (_OUTCOME,), ((0, 0, 0),)),
         f"ComparisonReport(surface={_SURFACE_REPR}, polarization={_POLARIZATION_REPR}, "
-        f"c2=6, bound=2, strata=({_OUTCOME_REPR},), excluded=((0, 0, 0),), "
-        "not_established=(), min_margin=5, verdict='true')",
+        f"c2=6, bound=2, strata=({_OUTCOME_REPR},), excluded=((0, 0, 0),))",
     ),
     (_FAMILY, _FAMILY_REPR),
     (_CONDITION, _CONDITION_REPR),
     (
-        ValidationVerdict((_CONDITION,), True, ("assumed",), 3),
-        f"ValidationVerdict(conditions=({_CONDITION_REPR},), passed=True, "
+        ValidationVerdict((_CONDITION,), ("assumed",), 3),
+        f"ValidationVerdict(conditions=({_CONDITION_REPR},), "
         "assumptions=('assumed',), q_length=3)",
     ),
     (SelectedTwist(2, _FAMILY, 3), f"SelectedTwist(t=2, family={_FAMILY_REPR}, q_length=3)"),
