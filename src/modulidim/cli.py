@@ -37,7 +37,6 @@ from io import TextIOBase
 from . import discrepancies
 from .dims import Dim
 from .kuranishi import (
-    ComparisonReport,
     KuranishiReport,
     SplitStratum,
     component_report,
@@ -100,14 +99,18 @@ def _ledger_results(report: KuranishiReport, names: tuple[str, ...]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# document builders
+# document builders: each leaf subcommand's ``build(args)`` returns its
+# document and exit code
 # ---------------------------------------------------------------------------
 
 
-def _kuranishi_doc(command: str, report: KuranishiReport) -> dict:
-    topology = surface_topology(ProductSurface.from_genera(report.g1, report.g2))
-    return {
-        "command": command,
+def _kuranishi_doc(args) -> tuple[dict, int]:
+    """``report nonfiltrable``, and ``report split`` as its ``l = 0`` case."""
+    surface = ProductSurface.from_genera(args.g1, args.g2)
+    stratum = SplitStratum(surface, args.m, args.n, Polarization(args.alpha, args.beta))
+    report = nonfiltrable_report(stratum, args.l)
+    doc = {
+        "command": f"report {args.report_kind}",
         "inputs": {
             "g1": report.g1,
             "g2": report.g2,
@@ -120,7 +123,7 @@ def _kuranishi_doc(command: str, report: KuranishiReport) -> dict:
         "results": {
             **_ledger_results(report, _LEDGER_FIELDS),
             "moduli_real_dim": _pv(
-                moduli_real_dimension(report.c2, topology), "closed-form"
+                moduli_real_dimension(report.c2, surface_topology(surface)), "closed-form"
             ),
         },
         "verdicts": {
@@ -137,6 +140,7 @@ def _kuranishi_doc(command: str, report: KuranishiReport) -> dict:
         },
         "discrepancy_ledger": discrepancies.ledger(report),
     }
+    return doc, EXIT_OK if report.margin_established else EXIT_NOT_ESTABLISHED
 
 
 def _toy_doc(m: int, n: int) -> dict:
@@ -159,7 +163,13 @@ def _toy_doc(m: int, n: int) -> dict:
     }
 
 
-def _compare_doc(report: ComparisonReport) -> dict:
+def _compare_doc(args) -> tuple[dict, int]:
+    report = homology_comparison_report(
+        ProductSurface.from_genera(args.g1, args.g2),
+        Polarization(args.alpha, args.beta),
+        args.c2,
+        args.bound,
+    )
     rows = [
         {
             "m": outcome.m,
@@ -176,16 +186,15 @@ def _compare_doc(report: ComparisonReport) -> dict:
     established = [o for o in report.strata if o.established]
     if established:
         ledger = discrepancies.ledger(min(established, key=lambda o: o.margin).report)
-    g1, g2 = report.surface.genera
-    return {
+    doc = {
         "command": "report compare",
         "inputs": {
-            "g1": g1,
-            "g2": g2,
-            "c2": report.c2,
-            "alpha": report.polarization.alpha,
-            "beta": report.polarization.beta,
-            "bound": report.bound,
+            "g1": args.g1,
+            "g2": args.g2,
+            "c2": args.c2,
+            "alpha": args.alpha,
+            "beta": args.beta,
+            "bound": args.bound,
         },
         "results": {
             "strata": rows,
@@ -196,9 +205,12 @@ def _compare_doc(report: ComparisonReport) -> dict:
         "verdicts": {"margin_exceeds_c2": report.verdict},
         "discrepancy_ledger": ledger,
     }
+    return doc, EXIT_NOT_ESTABLISHED if report.verdict == "not-established" else EXIT_OK
 
 
 def _unstable_doc(args) -> tuple[dict, int]:
+    """``--L`` checks one family; ``--select-t --a`` chooses ``L`` itself.
+    A flag that the chosen form would ignore is refused."""
     surface = ProductSurface.from_genera(args.g1, args.g2)
     doc: dict = {
         "command": "report unstable",
@@ -210,11 +222,11 @@ def _unstable_doc(args) -> tuple[dict, int]:
             "c2": args.c2,
         },
     }
-    exit_code = EXIT_OK
-
     if args.select_t:
         if args.a is None:
             raise PreconditionError("--select-t requires --a")
+        if args.L is not None:
+            raise PreconditionError("--select-t chooses L itself and takes no --L")
         selected = select_twist(surface, args.H, args.R, args.c2, args.a)
         family = selected.family
         points = selected.q_length
@@ -232,8 +244,10 @@ def _unstable_doc(args) -> tuple[dict, int]:
         doc["discrepancy_ledger"] = [
             discrepancies.twist_inequality_entry(h2, hr, args.c2, args.a, selected.t)
         ]
-        return doc, exit_code
+        return doc, EXIT_OK
 
+    if args.a is not None:
+        raise PreconditionError("--a is the target of --select-t and requires it")
     if args.L is None:
         raise PreconditionError("report unstable requires --L (or --select-t with --a)")
     family = UnstableFamilySpec(surface, args.H, args.R, args.L, args.c2)
@@ -251,28 +265,26 @@ def _unstable_doc(args) -> tuple[dict, int]:
             "dim_lower_bound": _pv(2 * points, "closed-form"),
         }
         doc["verdicts"] = {"family_admissible": "pass"}
-    else:
-        # a hard failure is an established verdict; only a purely
-        # undecidable outcome counts as "not established"
-        statuses = {c.status for c in verdict.conditions}
-        outcome = "fail" if "fail" in statuses else "undecidable"
-        doc["results"] = {}
-        doc["verdicts"] = {"family_admissible": outcome}
-        if outcome == "undecidable":
-            exit_code = EXIT_NOT_ESTABLISHED
-    return doc, exit_code
+        return doc, EXIT_OK
+    # a hard failure is an established verdict; only a purely
+    # undecidable outcome counts as "not established"
+    statuses = {c.status for c in verdict.conditions}
+    outcome = "fail" if "fail" in statuses else "undecidable"
+    doc["results"] = {}
+    doc["verdicts"] = {"family_admissible": outcome}
+    return doc, EXIT_OK if outcome == "fail" else EXIT_NOT_ESTABLISHED
 
 
-def _oracle_p1_doc(args) -> dict:
+def _oracle_p1_doc(args) -> tuple[dict, int]:
     r = cech_h_p1(args.k, args.window)
     return {
         "command": "oracle p1",
         "inputs": {"k": args.k, "window": r.window},
         "results": {"h0": _pv(r.h0, "oracle"), "h1": _pv(r.h1, "oracle")},
-    }
+    }, EXIT_OK
 
 
-def _oracle_product_doc(args) -> dict:
+def _oracle_product_doc(args) -> tuple[dict, int]:
     r = cech_h_product(args.a, args.b, args.window)
     return {
         "command": "oracle product",
@@ -282,10 +294,10 @@ def _oracle_product_doc(args) -> dict:
             "h1": _pv(r.h1, "oracle"),
             "h2": _pv(r.h2, "oracle"),
         },
-    }
+    }, EXIT_OK
 
 
-def _oracle_koszul_doc(args) -> dict:
+def _oracle_koszul_doc(args) -> tuple[dict, int]:
     r = koszul_ext(KoszulModel(args.a, args.b))
     return {
         "command": "oracle koszul",
@@ -296,7 +308,7 @@ def _oracle_koszul_doc(args) -> dict:
             "ext2": _pv(r.e2, "oracle"),
             "length": _pv(r.length, "oracle"),
         },
-    }
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -347,42 +359,47 @@ def parse_sweep_config(text: str) -> dict:
 
 
 def _sweep_doc(config: dict) -> tuple[dict, int]:
-    """One row per grid point ``(m, n, l)``, sorted. The split ledger does
-    not depend on ``l``: it is computed once per ``(m, n)`` and shifted by
-    each ``l``, which the sort makes consecutive."""
+    """One row per grid point ``(m, n, l)``, sorted: every range ascends, so
+    the nested loops already visit the points in lexicographic order. The
+    split ledger does not depend on ``l``: it is computed once per
+    ``(m, n)`` and shifted by each ``l``."""
     surface = ProductSurface.from_genera(config["g1"], config["g2"])
     w = Polarization(config["alpha"], config["beta"])
     rows = []
     any_not_established = False
-    grid = sorted(
-        (m, n, l)
-        for m in config["m_range"]
-        for n in config["n_range"]
-        for l in config["l_range"]
-    )
-    split_mn, split = None, None
-    for m, n, l in grid:
-        row: dict = {"m": m, "n": n, "l": l}
-        if degree_wrt((m, n), w) < 0:
-            row["status"] = "not-destabilizing"
-        elif m < 1:
-            row["status"] = "outside-validity: needs m >= 1"
-        else:
-            if split_mn != (m, n):
-                split_mn, split = (m, n), component_report(SplitStratum(surface, m, n, w))
-            report = shift_by_length(split, l)
-            row.update(_ledger_results(report, _SWEEP_FIELDS))
-            row["margin_exceeds_c2"] = report.margin_exceeds_c2
-            row["status"] = "ok" if report.margin_established else "not-established"
-            if not report.margin_established:
-                any_not_established = True
-        rows.append(row)
+    for m in config["m_range"]:
+        for n in config["n_range"]:
+            split = None
+            if degree_wrt((m, n), w) < 0:
+                skipped = "not-destabilizing"
+            elif m < 1:
+                skipped = "outside-validity: needs m >= 1"
+            else:
+                split = component_report(SplitStratum(surface, m, n, w))
+            for l in config["l_range"]:
+                row: dict = {"m": m, "n": n, "l": l}
+                if split is None:
+                    row["status"] = skipped
+                else:
+                    report = shift_by_length(split, l)
+                    row.update(_ledger_results(report, _SWEEP_FIELDS))
+                    row["margin_exceeds_c2"] = report.margin_exceeds_c2
+                    row["status"] = "ok" if report.margin_established else "not-established"
+                    if not report.margin_established:
+                        any_not_established = True
+                rows.append(row)
     doc = {
         "command": "sweep",
         "inputs": {k: config[k] for k in sorted(config)},
         "results": {"rows": rows},
     }
     return doc, EXIT_NOT_ESTABLISHED if any_not_established else EXIT_OK
+
+
+def _sweep_file_doc(args) -> tuple[dict, int]:
+    with open(args.config, encoding="utf-8") as fh:
+        config = parse_sweep_config(fh.read())
+    return _sweep_doc(config)
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +578,26 @@ def _pair_arg(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
-def _add_format(parser):
+def _leaf(sub, name: str, summary: str, build, *flags, **defaults) -> None:
+    """Declare one leaf subcommand; ``main`` runs its ``build(args)``, which
+    returns the document and the exit code.
+
+    A flag given by name alone is a required integer; a ``(name, options)``
+    pair passes its options to ``add_argument``. The shared ``--format`` and
+    ``--require-exact`` come last, and ``defaults`` fill in fields the
+    subcommand has no flag for.
+    """
+    parser = sub.add_parser(name, help=summary)
+    for spec in flags:
+        flag, options = (spec, {"type": int, "required": True}) if isinstance(spec, str) else spec
+        parser.add_argument(flag, **options)
     parser.add_argument("--format", choices=("json", "markdown"), default="json")
     parser.add_argument(
         "--require-exact",
         action="store_true",
         help="exit with code 2 if any result is an interval rather than exact",
     )
+    parser.set_defaults(build=build, **defaults)
 
 
 def build_parser() -> _Parser:
@@ -576,112 +606,36 @@ def build_parser() -> _Parser:
 
     report = sub.add_parser("report", help="dimension ledgers and verdicts")
     rsub = report.add_subparsers(dest="report_kind", required=True)
-
-    split = rsub.add_parser("split", help="ledger around a split bundle")
-    for flag in ("--g1", "--g2", "--m", "--n", "--alpha", "--beta"):
-        split.add_argument(flag, type=int, required=True)
-    _add_format(split)
-
-    nonf = rsub.add_parser("nonfiltrable", help="ledger around a nonfiltrable bundle")
-    for flag in ("--g1", "--g2", "--m", "--n", "--alpha", "--beta", "--l"):
-        nonf.add_argument(flag, type=int, required=True)
-    _add_format(nonf)
-
-    toy = rsub.add_parser("toy", help="closed forms for a product of two lines")
-    toy.add_argument("--m", type=int, required=True)
-    toy.add_argument("--n", type=int, required=True)
-    _add_format(toy)
-
-    unstable = rsub.add_parser("unstable", help="totally unstable family bounds")
-    unstable.add_argument("--g1", type=int, required=True)
-    unstable.add_argument("--g2", type=int, required=True)
-    unstable.add_argument("--H", type=_pair_arg, required=True, metavar="a,b")
-    unstable.add_argument("--R", type=_pair_arg, required=True, metavar="a,b")
-    unstable.add_argument("--L", type=_pair_arg, metavar="a,b")
-    unstable.add_argument("--c2", type=int, required=True)
-    unstable.add_argument("--select-t", action="store_true", dest="select_t")
-    unstable.add_argument("--a", type=int)
-    _add_format(unstable)
-
-    compare = rsub.add_parser("compare", help="aggregate margin check over strata")
-    for flag in ("--g1", "--g2", "--c2", "--alpha", "--beta", "--bound"):
-        compare.add_argument(flag, type=int, required=True)
-    _add_format(compare)
+    ledger = ("--g1", "--g2", "--m", "--n", "--alpha", "--beta")
+    _leaf(rsub, "split", "ledger around a split bundle", _kuranishi_doc, *ledger, l=0)
+    _leaf(rsub, "nonfiltrable", "ledger around a nonfiltrable bundle", _kuranishi_doc,
+          *ledger, "--l")
+    _leaf(rsub, "toy", "closed forms for a product of two lines",
+          lambda args: (_toy_doc(args.m, args.n), EXIT_OK), "--m", "--n")
+    pair = {"type": _pair_arg, "metavar": "a,b"}
+    _leaf(rsub, "unstable", "totally unstable family bounds", _unstable_doc,
+          "--g1", "--g2", ("--H", {**pair, "required": True}), ("--R", {**pair, "required": True}),
+          ("--L", pair), "--c2", ("--select-t", {"action": "store_true"}), ("--a", {"type": int}))
+    _leaf(rsub, "compare", "aggregate margin check over strata", _compare_doc,
+          "--g1", "--g2", "--c2", "--alpha", "--beta", "--bound")
 
     oracle = sub.add_parser("oracle", help="brute-force verification engines")
     osub = oracle.add_subparsers(dest="oracle_kind", required=True)
+    window = ("--window", {"type": int})
+    _leaf(osub, "p1", "chart complex on the projective line", _oracle_p1_doc, "--k", window)
+    _leaf(osub, "product", "chart double complex on a product of lines", _oracle_product_doc,
+          "--a", "--b", window)
+    _leaf(osub, "koszul", "resolution Ext computer", _oracle_koszul_doc, "--a", "--b")
 
-    p1 = osub.add_parser("p1", help="chart complex on the projective line")
-    p1.add_argument("--k", type=int, required=True)
-    p1.add_argument("--window", type=int)
-    _add_format(p1)
-
-    product = osub.add_parser("product", help="chart double complex on a product of lines")
-    product.add_argument("--a", type=int, required=True)
-    product.add_argument("--b", type=int, required=True)
-    product.add_argument("--window", type=int)
-    _add_format(product)
-
-    koszul = osub.add_parser("koszul", help="resolution Ext computer")
-    koszul.add_argument("--a", type=int, required=True)
-    koszul.add_argument("--b", type=int, required=True)
-    _add_format(koszul)
-
-    sweep = sub.add_parser("sweep", help="grid of ledgers from a config file")
-    sweep.add_argument("--config", required=True)
-    _add_format(sweep)
-
+    _leaf(sub, "sweep", "grid of ledgers from a config file", _sweep_file_doc,
+          ("--config", {"required": True}))
     return parser
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    if args.command == "report":
-        if args.report_kind == "toy":
-            return _toy_doc(args.m, args.n), EXIT_OK
-        if args.report_kind in ("split", "nonfiltrable"):
-            surface = ProductSurface.from_genera(args.g1, args.g2)
-            w = Polarization(args.alpha, args.beta)
-            stratum = SplitStratum(surface, args.m, args.n, w)
-            l = args.l if args.report_kind == "nonfiltrable" else 0
-            report = nonfiltrable_report(stratum, l)
-            doc = _kuranishi_doc(f"report {args.report_kind}", report)
-            code = EXIT_OK if report.margin_established else EXIT_NOT_ESTABLISHED
-            return doc, code
-        if args.report_kind == "unstable":
-            return _unstable_doc(args)
-        if args.report_kind == "compare":
-            report = homology_comparison_report(
-                ProductSurface.from_genera(args.g1, args.g2),
-                Polarization(args.alpha, args.beta),
-                args.c2,
-                args.bound,
-            )
-            doc = _compare_doc(report)
-            code = (
-                EXIT_NOT_ESTABLISHED
-                if report.verdict == "not-established"
-                else EXIT_OK
-            )
-            return doc, code
-    if args.command == "oracle":
-        if args.oracle_kind == "p1":
-            return _oracle_p1_doc(args), EXIT_OK
-        if args.oracle_kind == "product":
-            return _oracle_product_doc(args), EXIT_OK
-        if args.oracle_kind == "koszul":
-            return _oracle_koszul_doc(args), EXIT_OK
-    if args.command == "sweep":
-        with open(args.config, encoding="utf-8") as fh:
-            config = parse_sweep_config(fh.read())
-        return _sweep_doc(config)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc, code = _dispatch(args)
+        doc, code = args.build(args)
         if args.require_exact and _has_interval(doc):
             code = EXIT_INDETERMINATE
         (render_json if args.format == "json" else render_markdown)(doc, sys.stdout)

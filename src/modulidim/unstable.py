@@ -12,15 +12,8 @@ unstable bundles of dimension at least twice the point count,
 from __future__ import annotations
 
 from .dims import Dim, Record
-from .surface import (
-    BidegreeBundle,
-    Pair,
-    PreconditionError,
-    ProductSurface,
-    intersection,
-    kunneth_h,
-)
-from .curves import canonical_degree
+from .surface import Pair, PreconditionError, ProductSurface, intersection
+from .curves import canonical_degree, h0_h1_bounds
 
 
 class UnstableFamilySpec(Record):
@@ -75,7 +68,8 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     The section-vanishing condition is decided through the factor-degree
     rules: a negative component degree forces vanishing, and two pinned
     positive counts force failure. Middle-range factors leave the condition
-    undecidable, which is reported rather than passed.
+    undecidable, which is reported rather than passed. The twist is generic,
+    so its h0 is the Kunneth product of the two factors' integer h0 bounds.
     """
     slope_lhs = 2 * intersection(family.sub, family.ample)
     slope_rhs = intersection(family.det, family.ample)
@@ -86,8 +80,11 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     )
 
     twist_bidegree = _vanishing_twist_bidegree(family)
-    h0 = kunneth_h(0, BidegreeBundle.of_type(family.surface, *twist_bidegree))
-    if h0 == Dim.exact(0):
+    (lower1, upper1, _, _), (lower2, upper2, _, _) = (
+        h0_h1_bounds(g, d) for g, d in zip(family.surface.genera, twist_bidegree)
+    )
+    h0 = Dim(lower1 * lower2, upper1 * upper2)
+    if h0.upper == 0:
         status, detail = "pass", f"h0 of bidegree {twist_bidegree} is 0"
     elif h0.lower >= 1:
         # a positive lower bound already guarantees sections

@@ -253,6 +253,19 @@ class TestUnstableReport:
         )
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--L", "2,2", "--c2", "8", "--a", "4"),
+        ("--c2", "0", "--select-t", "--a", "4", "--L", "2,2"),
+    ], ids=["a-without-select-t", "L-with-select-t"])
+    def test_refuses_a_flag_it_would_ignore(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys,
+            "report", "unstable", "--g1", "0", "--g2", "0", "--H", "1,1", "--R", "0,0",
+            *flags,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("modulidim: error:") and err.count("\n") == 1
+
 
 class TestOracleCommands:
     def test_p1(self, capsys):
@@ -548,6 +561,17 @@ class TestDocumentContract:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "usage" in err
+
+    @pytest.mark.parametrize("argv,dest", [
+        ([], "command"), (["report"], "report_kind"), (["oracle"], "oracle_kind"),
+    ])
+    def test_missing_subcommand_prints_usage_and_exits_one(self, capsys, argv, dest):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: the following arguments are required: {dest}\n")
 
 
 # Keys and strings draw from every code point, lone surrogates included, with
