@@ -81,7 +81,10 @@ _LEDGER_FIELDS = (
     "c2", "q_length", "unavoidable_equations",
 )
 _CHI_DERIVED = frozenset({"margin", "margin_stated"})
-_SWEEP_FIELDS = ("t_u", "t_o", "t_s", "codim", "equations", "margin", "c2")
+# Sweep rows show ``t_o`` and these ledger fields: the first tuple holds those
+# that ``shift_by_length`` leaves unchanged, the second those it moves.
+_SWEEP_UNSHIFTED_FIELDS = ("codim", "equations", "margin")
+_SWEEP_SHIFTED_FIELDS = ("t_u", "t_s", "c2")
 _COMPARE_FIELDS = ("margin", "margin_stated", "c2")
 
 
@@ -362,9 +365,12 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
     """One row per grid point ``(m, n, l)``, sorted: every range ascends, so
     the nested loops already visit the points in lexicographic order. The
     split ledger does not depend on ``l``: it is computed once per
-    ``(m, n)`` and shifted by each ``l``."""
+    ``(m, n)`` and shifted by each ``l``. Its entries that the shift leaves
+    unchanged are built once per ``(m, n)``, and ``t_o``, which depends only
+    on ``l`` and the genera, once per ``l``; rows share those dicts."""
     surface = ProductSurface.from_genera(config["g1"], config["g2"])
     w = Polarization(config["alpha"], config["beta"])
+    t_o_by_length: dict[int, dict] = {}
     rows = []
     any_not_established = False
     for m in config["m_range"]:
@@ -376,18 +382,24 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
                 skipped = "outside-validity: needs m >= 1"
             else:
                 split = component_report(SplitStratum(surface, m, n, w))
+                unshifted = _ledger_results(split, _SWEEP_UNSHIFTED_FIELDS)
             for l in config["l_range"]:
-                row: dict = {"m": m, "n": n, "l": l}
                 if split is None:
-                    row["status"] = skipped
-                else:
-                    report = shift_by_length(split, l)
-                    row.update(_ledger_results(report, _SWEEP_FIELDS))
-                    row["margin_exceeds_c2"] = report.margin_exceeds_c2
-                    row["status"] = "ok" if report.margin_established else "not-established"
-                    if not report.margin_established:
-                        any_not_established = True
-                rows.append(row)
+                    rows.append({"m": m, "n": n, "l": l, "status": skipped})
+                    continue
+                report = shift_by_length(split, l)
+                t_o = t_o_by_length.get(l)
+                if t_o is None:
+                    t_o = t_o_by_length[l] = _pv(report.t_o, "closed-form")
+                established = report.margin_established
+                if not established:
+                    any_not_established = True
+                rows.append({
+                    "m": m, "n": n, "l": l, "t_o": t_o, **unshifted,
+                    **_ledger_results(report, _SWEEP_SHIFTED_FIELDS),
+                    "margin_exceeds_c2": report.margin_exceeds_c2,
+                    "status": "ok" if established else "not-established",
+                })
     doc = {
         "command": "sweep",
         "inputs": {k: config[k] for k in sorted(config)},
@@ -423,13 +435,19 @@ def render_json(doc: dict, out: TextIOBase) -> None:
     """Write ``doc`` to ``out`` as the exact bytes of
     ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, in pieces."""
     chunks: list[str] = []
-    _write_json(doc, "\n", chunks, out)
+    _write_json(doc, "\n", chunks, out, {})
     chunks.append("\n")
     out.write("".join(chunks))
 
 
-def _write_json(value, newline: str, chunks: list[str], out: TextIOBase) -> None:
+def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes: dict) -> None:
     """Append ``value``; ``newline`` is the line break and indent that close it.
+
+    ``shapes`` maps ``(newline, *keys)`` of each dict shape written so far to
+    its ``(key, line)`` pairs in sorted key order, where ``line`` opens the
+    key's entry up to its value, so a shape met again is not sorted and
+    quoted again. It lives for one ``render_json`` call; a key that is not a
+    string raises ``TypeError`` before its shape is stored.
 
     After each list item, a batch of ``_JSON_BATCH`` pieces or more goes to
     ``out`` and ``chunks`` starts empty again.
@@ -437,14 +455,19 @@ def _write_json(value, newline: str, chunks: list[str], out: TextIOBase) -> None
     kind = type(value)
     inner = newline + "  "
     if kind is dict:
-        separator = "{" + inner
-        for key in sorted(value):
+        shape = (newline, *value)
+        lines = shapes.get(shape)
+        if lines is None:
+            lines = shapes[shape] = [
+                (key, ("," if i else "{") + inner + _json_string(key) + ": ")
+                for i, key in enumerate(sorted(value))
+            ]
+        for key, line in lines:
             item = value[key]
             leaf = _JSON_LEAVES.get(type(item))
-            chunks.append(f"{separator}{_json_string(key)}: {leaf(item) if leaf else ''}")
+            chunks.append(line + leaf(item) if leaf else line)
             if leaf is None:
-                _write_json(item, inner, chunks, out)
-            separator = "," + inner
+                _write_json(item, inner, chunks, out, shapes)
         chunks.append(newline + "}" if value else "{}")
     elif kind is list or kind is tuple:
         separator = "[" + inner
@@ -452,7 +475,7 @@ def _write_json(value, newline: str, chunks: list[str], out: TextIOBase) -> None
             leaf = _JSON_LEAVES.get(type(item))
             chunks.append(separator + leaf(item) if leaf else separator)
             if leaf is None:
-                _write_json(item, inner, chunks, out)
+                _write_json(item, inner, chunks, out, shapes)
             separator = "," + inner
             if len(chunks) >= _JSON_BATCH:
                 out.write("".join(chunks))

@@ -1,16 +1,30 @@
+import copy
 import enum
 import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modulidim.cli import _sweep_doc, main, parse_sweep_config, render_json
+from modulidim.cli import (
+    _ledger_results,
+    _sweep_doc,
+    build_parser,
+    main,
+    parse_sweep_config,
+    render_json,
+    render_markdown,
+)
+from modulidim.kuranishi import SplitStratum, nonfiltrable_report
+from modulidim.surface import Polarization, ProductSurface
 from modulidim.unstable import validate
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *args):
@@ -454,6 +468,49 @@ beta = 1
                     checked += 1
         assert checked > 100
 
+    def test_rows_equal_the_ledgers_of_their_own_reports(self):
+        # the sweep builds the entries that the shift leaves unchanged once
+        # per (m, n) and t_o once per l; every ledger row must still equal
+        # the ledger of its own nonfiltrable report, and l up to 6 exceeds
+        # h2 of the square, so the shift absorbs part of l on some rows
+        fields = ("t_u", "t_o", "t_s", "codim", "equations", "margin", "c2")
+        w = Polarization(2, 1)
+        statuses = set()
+        partly_absorbed = 0
+        for g1 in range(3):
+            for g2 in range(3):
+                config = parse_sweep_config(
+                    f"g1 = {g1}\ng2 = {g2}\nm_range = -1..3\nn_range = -3..1\n"
+                    "l_range = 0..6\nalpha = 2\nbeta = 1\n"
+                )
+                doc, code = _sweep_doc(config)
+                surface = ProductSurface.from_genera(g1, g2)
+                expected_code = 0
+                for row in doc["results"]["rows"]:
+                    statuses.add(row["status"])
+                    if row["status"] not in ("ok", "not-established"):
+                        assert set(row) == {"m", "n", "l", "status"}, row
+                        continue
+                    report = nonfiltrable_report(
+                        SplitStratum(surface, row["m"], row["n"], w), row["l"]
+                    )
+                    assert row == {
+                        "m": report.m, "n": report.n, "l": report.q_length,
+                        **_ledger_results(report, fields),
+                        "margin_exceeds_c2": report.margin_exceeds_c2,
+                        "status": "ok" if report.margin_established else "not-established",
+                    }, (g1, g2, row)
+                    if not report.margin_established:
+                        expected_code = 3
+                    if 0 < report.comp_i_target.upper < report.q_length:
+                        assert row["t_u"]["kind"] == "interval"
+                        partly_absorbed += 1
+                assert code == expected_code, (g1, g2)
+        assert statuses == {
+            "ok", "not-established", "not-destabilizing", "outside-validity: needs m >= 1"
+        }
+        assert partly_absorbed > 0
+
     def test_negative_length_on_a_ledger_row_exits_one(self, capsys, tmp_path):
         path = tmp_path / "sweep.cfg"
         path.write_text(self.CONFIG.replace("l_range = 0..1", "l_range = -1..2"))
@@ -523,6 +580,20 @@ class TestDocumentContract:
         assert any(v["kind"] == "interval" for row in rows for v in row.values()
                    if isinstance(v, dict) and "kind" in v)
         assert json.loads(outputs[5])["pairing_reduction"]["components"]
+
+    def test_renderers_leave_the_document_unchanged(self):
+        # sweep rows share their entry dicts, so a renderer that altered one
+        # would alter every row that holds it
+        config = parse_sweep_config((GOLDEN / "sweep.cfg").read_text(encoding="utf-8"))
+        args = build_parser().parse_args([
+            "report", "compare", "--g1", "2", "--g2", "3", "--c2", "2",
+            "--alpha", "1", "--beta", "1", "--bound", "3",
+        ])
+        for doc in (_sweep_doc(config)[0], args.build(args)[0]):
+            before = copy.deepcopy(doc)
+            render_json(doc, io.StringIO())
+            render_markdown(doc, io.StringIO())
+            assert doc == before
 
     def test_no_floats_anywhere(self, capsys):
         _, doc, _ = run_json(
@@ -634,8 +705,14 @@ def _render(doc) -> str:
     return out.getvalue()
 
 
+# one dict object met at three depths, so under three line breaks
+_SHARED = {"x": [1, "two"], "y": {}}
+
+
 class TestRenderJson:
     @given(st.dictionaries(_TEXT, _TREES, max_size=3) | st.lists(_TREES, max_size=3))
+    @example([{"a": 1, "b": [2]}, {"b": [2], "a": 1}])
+    @example({"p": _SHARED, "q": [_SHARED, {"r": _SHARED}]})
     def test_matches_indented_json_dumps(self, tree):
         assert _render(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -644,7 +721,10 @@ class TestRenderJson:
         {"values": [1, {2, 3}]},
         {"value": _Level.HIGH},
         {"values": {1: "one"}},
-    ], ids=["float", "set", "int-enum", "int-key"])
+        {"a": {"x": 1}, "b": [{"x": 1.0}]},
+        [{"x": 1}, {"x": 1.0}],
+    ], ids=["float", "set", "int-enum", "int-key", "float-under-a-written-key-set",
+            "float-under-a-written-shape"])
     def test_rejects_values_outside_the_document_types(self, doc):
         with pytest.raises(TypeError):
             _render(doc)
