@@ -17,16 +17,7 @@ The ``modulidim`` command line exposes all of it as JSON or markdown
 reports; see :mod:`modulidim.cli`.
 """
 
-from .curves import (
-    Curve,
-    CurveLineBundle,
-    Triviality,
-    canonical_degree,
-    euler_characteristic,
-    h0_h1,
-    h0_h1_bounds,
-    serre_dual_degree,
-)
+from .curves import Curve, canonical_degree, h0_h1
 from .dims import Dim, IndeterminateDimensionError
 from .kuranishi import (
     ComparisonReport,
@@ -47,11 +38,9 @@ from .oracle import (
 )
 from .skyscraper import (
     ext1_FF_decomposition,
-    ext_dims_QQ,
     killed_pairings_check,
 )
 from .surface import (
-    BidegreeBundle,
     Polarization,
     PreconditionError,
     ProductSurface,
@@ -63,14 +52,11 @@ from .surface import (
     kunneth_h,
     moduli_real_dimension,
     surface_topology,
-    twist,
 )
 from .unstable import (
     SelectedTwist,
     UnstableFamilySpec,
     ValidationVerdict,
-    dim_lower_bound,
-    q_length,
     select_twist,
     validate,
 )
@@ -78,10 +64,8 @@ from .unstable import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BidegreeBundle",
     "ComparisonReport",
     "Curve",
-    "CurveLineBundle",
     "Dim",
     "IndeterminateDimensionError",
     "KoszulModel",
@@ -92,7 +76,6 @@ __all__ = [
     "SelectedTwist",
     "SplitStratum",
     "SurfaceTopology",
-    "Triviality",
     "UnstableFamilySpec",
     "ValidationVerdict",
     "c2_of_extension",
@@ -101,12 +84,8 @@ __all__ = [
     "cech_h_product",
     "component_report",
     "degree_wrt",
-    "dim_lower_bound",
-    "euler_characteristic",
     "ext1_FF_decomposition",
-    "ext_dims_QQ",
     "h0_h1",
-    "h0_h1_bounds",
     "homology_comparison_report",
     "intersection",
     "is_destabilizing",
@@ -115,13 +94,10 @@ __all__ = [
     "kunneth_h",
     "moduli_real_dimension",
     "nonfiltrable_report",
-    "q_length",
     "select_twist",
-    "serre_dual_degree",
     "shift_by_length",
     "surface_topology",
     "toy_domain_dim",
     "toy_unstable_codim",
-    "twist",
     "validate",
 ]

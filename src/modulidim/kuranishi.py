@@ -25,7 +25,6 @@ unchanged, and only the tangent dimensions and ``c2`` shift by ``l``.
 
 from __future__ import annotations
 
-from .curves import h0_h1_bounds
 from .dims import Dim, Record
 from .skyscraper import KilledPairingsVerdict, ext1_FF_decomposition, killed_pairings_check
 from .surface import (
@@ -35,6 +34,7 @@ from .surface import (
     c2_of_extension,
     degree_wrt,
     is_destabilizing,
+    kunneth_h,
 )
 
 
@@ -237,21 +237,6 @@ def _require_mixed(m: int, n: int):
         raise PreconditionError(f"need m > 0 and n < 0, got ({m}, {n})")
 
 
-def _h1_product(first: tuple, second: tuple) -> Dim:
-    """Kunneth ``h^1`` of an external product from the factors' integer
-    bounds ``(h0 lower, h0 upper, h1 lower, h1 upper)``: ``h0 h1 + h1 h0``,
-    bound by bound (every bound is a nonnegative integer)."""
-    return Dim(
-        first[0] * second[2] + first[2] * second[0],
-        first[1] * second[3] + first[3] * second[1],
-    )
-
-
-def _h2_product(first: tuple, second: tuple) -> Dim:
-    """Kunneth ``h^2`` of an external product: ``h1 h1``, bound by bound."""
-    return Dim(first[2] * second[2], first[3] * second[3])
-
-
 def component_report(stratum: SplitStratum) -> KuranishiReport:
     """Full dimension ledger around a split bundle.
 
@@ -260,23 +245,16 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
     is exact unconditionally; it is only meaningful (established) when the
     Euler characteristic of the second-factor inverse square is positive.
 
-    The four stored dimensions come from four evaluations of the generic
-    curve rule (:func:`modulidim.curves.h0_h1_bounds`), at degrees ``2m``
-    and ``-2m`` on the first factor and ``2n`` and ``-2n`` on the second,
-    combined by Kunneth products and sums of integer bounds. They equal
-    :func:`modulidim.surface.kunneth_h` on the twists of ``L``; no bundle
-    objects are built. The rest of the ledger is derived from them.
+    The four stored dimensions are the Kunneth ``h^1`` and ``h^2``
+    (:func:`modulidim.surface.kunneth_h`) of the square of ``L``, bidegree
+    ``(2m, 2n)``, and of its inverse, bidegree ``(-2m, -2n)``. The rest of
+    the ledger is derived from them.
     """
     if stratum.m < 1:
         raise PreconditionError(f"the ledger requires m >= 1, got m = {stratum.m}")
-    g1, g2 = stratum.surface.genera
-    m, n = stratum.m, stratum.n
-
-    square1 = h0_h1_bounds(g1, 2 * m)
-    square2 = h0_h1_bounds(g2, 2 * n)
-    inverse1 = h0_h1_bounds(g1, -2 * m)
-    inverse2 = h0_h1_bounds(g2, -2 * n)
-    nu1 = inverse1[2]  # exact: no sections in negative degree
+    surface, m, n = stratum.surface, stratum.m, stratum.n
+    g1, g2 = surface.genera
+    square, inverse = (2 * m, 2 * n), (-2 * m, -2 * n)
     return KuranishiReport(
         g1=g1,
         g2=g2,
@@ -285,10 +263,10 @@ def component_report(stratum: SplitStratum) -> KuranishiReport:
         alpha=stratum.polarization.alpha,
         beta=stratum.polarization.beta,
         q_length=0,
-        t_u=_h1_product(square1, square2),
-        comp_i_target=_h2_product(square1, square2),
-        codim=Dim(nu1 * inverse2[0], nu1 * inverse2[1]),
-        equations=Dim(nu1 * inverse2[2], nu1 * inverse2[3]),
+        t_u=kunneth_h(1, surface, square),
+        comp_i_target=kunneth_h(2, surface, square),
+        codim=kunneth_h(1, surface, inverse),
+        equations=kunneth_h(2, surface, inverse),
     )
 
 

@@ -10,8 +10,8 @@ the quotient as its total length ``l``, and each of them raises
 ``ValueError`` on a negative length.
 
 The Koszul oracle (:mod:`modulidim.oracle`) recomputes the self-Ext counts
-from an explicit resolution for monomial complete intersections, which is
-where these closed forms are cross-checked.
+``(l, 2l, l)`` from an explicit resolution for monomial complete
+intersections, which is where that closed form is cross-checked.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ class KilledPairingsVerdict(Record):
 def _check_length(l: int) -> None:
     if l < 0:
         raise ValueError(f"a quotient length must be >= 0, got {l}")
-
-
-def ext_dims_QQ(l: int) -> tuple[int, int, int]:
-    """(Hom, Ext^1, Ext^2) of a quotient of total length ``l`` against
-    itself: (l, 2l, l)."""
-    _check_length(l)
-    return (l, 2 * l, l)
 
 
 def ext1_FF_decomposition(l: int, h1_structure: int) -> tuple[int, int]:

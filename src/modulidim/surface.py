@@ -2,20 +2,16 @@
 
 The surface is ``X = C1 x C2`` with the two factors Pic-independent, so
 every line bundle splits as an external tensor product and is recorded by
-its bidegree ``(a, b)``. Cohomology follows the Kunneth convolution of the
-curve rules, the intersection form is the hyperbolic pairing
+its bidegree ``(a, b)``. The cohomology of the generic bundle of a
+bidegree is the Kunneth convolution of the integer curve rule
+(:func:`kunneth_h`), the intersection form is the hyperbolic pairing
 ``(a, b) . (c, d) = a d + b c``, and degrees against a polarization
 ``(alpha, beta)`` are ``alpha a + beta b``.
 """
 
 from __future__ import annotations
 
-from .curves import (
-    Curve,
-    CurveLineBundle,
-    Triviality,
-    h0_h1,
-)
+from .curves import Curve, h0_h1
 from .dims import Dim, Record
 
 Pair = tuple[int, int]
@@ -53,85 +49,28 @@ class SurfaceTopology(Record):
     __slots__ = ("b1", "b2_minus")
 
 
-class BidegreeBundle(Record):
-    """A line bundle on the product, split by factor.
-
-    ``factor_triviality`` carries what is known about each factor beyond its
-    degree; constructing the factors validates the flags against the degrees.
-    """
-
-    __slots__ = ("surface", "bidegree", "factor_triviality")
-
-    def __init__(self, surface: ProductSurface, bidegree: Pair,
-                 factor_triviality: tuple[Triviality, Triviality] = (Triviality.GENERIC,) * 2):
-        super().__init__(surface, bidegree, factor_triviality)
-
-    def __post_init__(self):
-        self.factors()  # validates flag/degree consistency
-
-    def factors(self) -> tuple[CurveLineBundle, CurveLineBundle]:
-        a, b = self.bidegree
-        ta, tb = self.factor_triviality
-        return (
-            CurveLineBundle(self.surface.curve1, a, ta),
-            CurveLineBundle(self.surface.curve2, b, tb),
-        )
-
-    @staticmethod
-    def structure_sheaf(surface: ProductSurface) -> "BidegreeBundle":
-        return BidegreeBundle(
-            surface, (0, 0), (Triviality.TRIVIAL, Triviality.TRIVIAL)
-        )
-
-    @staticmethod
-    def of_type(surface: ProductSurface, a: int, b: int) -> "BidegreeBundle":
-        """A bundle known only by its bidegree."""
-        return BidegreeBundle(surface, (a, b))
-
-
-def _twist_flag(flag: Triviality, power: int) -> Triviality:
-    """Triviality of ``L^power``.
-
-    Only certainties propagate: powers of a trivial bundle stay trivial. A
-    known-nontrivial degree-zero bundle may become trivial under powers, so
-    nothing is claimed for it.
-    """
-    if power == 0 or flag is Triviality.TRIVIAL:
-        return Triviality.TRIVIAL
-    if power == 1:
-        return flag
-    return Triviality.GENERIC
-
-
-def twist(bundle: BidegreeBundle, power: int) -> BidegreeBundle:
-    """``L^power``."""
-    a, b = bundle.bidegree
-    ta, tb = bundle.factor_triviality
-    return BidegreeBundle(
-        bundle.surface,
-        (power * a, power * b),
-        (_twist_flag(ta, power), _twist_flag(tb, power)),
-    )
-
-
-def kunneth_h(q: int, bundle: BidegreeBundle) -> Dim:
-    """q-th cohomology dimension via the Kunneth convolution.
+def kunneth_h(q: int, surface: ProductSurface, bidegree: Pair) -> Dim:
+    """q-th cohomology dimension of the generic bundle of this bidegree,
+    by the Kunneth convolution.
 
     ``h^q(X, L1 x L2) = sum over i + j = q of h^i(C1, L1) h^j(C2, L2)``,
-    with no curve cohomology above degree 1. The result is exact exactly
-    when every contributing factor is; intervals propagate through the
-    products and sums.
+    with no curve cohomology above degree 1, taken bound by bound over the
+    factors' :func:`modulidim.curves.h0_h1` (every bound is a nonnegative
+    integer). The result is exact exactly when every contributing factor is.
     """
     if q not in (0, 1, 2):
         raise PreconditionError(f"cohomology degree must be 0, 1 or 2, got {q}")
-    f1, f2 = bundle.factors()
-    h0a, h1a = h0_h1(f1)
-    h0b, h1b = h0_h1(f2)
+    (g1, g2), (a, b) = surface.genera, bidegree
+    h0a_lower, h0a_upper, h1a_lower, h1a_upper = h0_h1(g1, a)
+    h0b_lower, h0b_upper, h1b_lower, h1b_upper = h0_h1(g2, b)
     if q == 0:
-        return h0a * h0b
+        return Dim(h0a_lower * h0b_lower, h0a_upper * h0b_upper)
     if q == 1:
-        return h0a * h1b + h1a * h0b
-    return h1a * h1b
+        return Dim(
+            h0a_lower * h1b_lower + h1a_lower * h0b_lower,
+            h0a_upper * h1b_upper + h1a_upper * h0b_upper,
+        )
+    return Dim(h1a_lower * h1b_lower, h1a_upper * h1b_upper)
 
 
 def intersection(a: Pair, b: Pair) -> int:

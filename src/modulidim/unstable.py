@@ -11,9 +11,9 @@ unstable bundles of dimension at least twice the point count,
 
 from __future__ import annotations
 
-from .dims import Dim, Record
-from .surface import Pair, PreconditionError, ProductSurface, intersection
-from .curves import canonical_degree, h0_h1_bounds
+from .curves import canonical_degree
+from .dims import Record
+from .surface import Pair, PreconditionError, ProductSurface, intersection, kunneth_h
 
 
 class UnstableFamilySpec(Record):
@@ -41,10 +41,7 @@ class ValidationVerdict(Record):
 
     @property
     def passed(self) -> bool:
-        return not self.failing()
-
-    def failing(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.conditions if c.status != "pass")
+        return all(c.status == "pass" for c in self.conditions)
 
 
 class SelectedTwist(Record):
@@ -69,7 +66,7 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     rules: a negative component degree forces vanishing, and two pinned
     positive counts force failure. Middle-range factors leave the condition
     undecidable, which is reported rather than passed. The twist is generic,
-    so its h0 is the Kunneth product of the two factors' integer h0 bounds.
+    so its h0 is the Kunneth ``h^0`` of its bidegree.
     """
     slope_lhs = 2 * intersection(family.sub, family.ample)
     slope_rhs = intersection(family.det, family.ample)
@@ -80,10 +77,7 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     )
 
     twist_bidegree = _vanishing_twist_bidegree(family)
-    (lower1, upper1, _, _), (lower2, upper2, _, _) = (
-        h0_h1_bounds(g, d) for g, d in zip(family.surface.genera, twist_bidegree)
-    )
-    h0 = Dim(lower1 * lower2, upper1 * upper2)
+    h0 = kunneth_h(0, family.surface, twist_bidegree)
     if h0.upper == 0:
         status, detail = "pass", f"h0 of bidegree {twist_bidegree} is 0"
     elif h0.lower >= 1:
@@ -114,22 +108,6 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
         ),
         q_length=points,
     )
-
-
-def q_length(family: UnstableFamilySpec) -> int:
-    """Number of points in the quotient: ``c2 + L^2 - L.R``, for a family
-    that passes :func:`validate`."""
-    verdict = validate(family)
-    if not verdict.passed:
-        raise PreconditionError(
-            f"family data fails validation on: {', '.join(verdict.failing())}"
-        )
-    return verdict.q_length
-
-
-def dim_lower_bound(family: UnstableFamilySpec) -> int:
-    """The family has dimension at least twice the point count."""
-    return 2 * q_length(family)
 
 
 # Largest twist ``select_twist`` tries before giving up.

@@ -1,16 +1,15 @@
 import pytest
 
-from modulidim.curves import (
-    Curve,
-    CurveLineBundle,
-    Triviality,
-    canonical_degree,
-    euler_characteristic,
-    h0_h1,
-    serre_dual_degree,
-)
+from modulidim.curves import Curve, canonical_degree, h0_h1
 from modulidim.dims import Dim
 from modulidim.oracle import cech_h_p1
+from reference import (
+    CurveLineBundle,
+    Triviality,
+    bundle_h0_h1,
+    euler_characteristic,
+    serre_dual_degree,
+)
 
 
 def bundle(g, d, flag=Triviality.GENERIC):
@@ -40,40 +39,39 @@ def test_serre_dual_degree(g, d, expected):
 
 class TestH0H1:
     def test_genus_zero_closed_form(self):
-        assert h0_h1(bundle(0, 3)) == (Dim.exact(4), Dim.exact(0))
-        assert h0_h1(bundle(0, -2)) == (Dim.exact(0), Dim.exact(1))
-        assert h0_h1(bundle(0, -1)) == (Dim.exact(0), Dim.exact(0))
+        assert h0_h1(0, 3) == (4, 4, 0, 0)
+        assert h0_h1(0, -2) == (0, 0, 1, 1)
+        assert h0_h1(0, -1) == (0, 0, 0, 0)
 
     def test_high_degree(self):
-        assert h0_h1(bundle(2, 5)) == (Dim.exact(4), Dim.exact(0))
+        assert h0_h1(2, 5) == (4, 4, 0, 0)
 
     def test_structure_sheaf(self):
-        assert h0_h1(bundle(3, 0, Triviality.TRIVIAL)) == (Dim.exact(1), Dim.exact(3))
+        assert bundle_h0_h1(bundle(3, 0, Triviality.TRIVIAL)) == (Dim.exact(1), Dim.exact(3))
         # genus 0: degree 0 is above the canonical degree, rule 2 applies
-        assert h0_h1(bundle(0, 0, Triviality.TRIVIAL)) == (Dim.exact(1), Dim.exact(0))
+        assert bundle_h0_h1(bundle(0, 0, Triviality.TRIVIAL)) == (Dim.exact(1), Dim.exact(0))
 
     def test_nontrivial_degree_zero(self):
-        assert h0_h1(bundle(3, 0, Triviality.NONTRIVIAL_DEGREE_ZERO)) == (
+        assert bundle_h0_h1(bundle(3, 0, Triviality.NONTRIVIAL_DEGREE_ZERO)) == (
             Dim.exact(0),
             Dim.exact(2),
         )
 
     def test_canonical(self):
-        assert h0_h1(bundle(2, 2, Triviality.CANONICAL)) == (Dim.exact(2), Dim.exact(1))
+        assert bundle_h0_h1(bundle(2, 2, Triviality.CANONICAL)) == (Dim.exact(2), Dim.exact(1))
         # genus 1: canonical is the structure sheaf
-        assert h0_h1(bundle(1, 0, Triviality.CANONICAL)) == (Dim.exact(1), Dim.exact(1))
+        assert bundle_h0_h1(bundle(1, 0, Triviality.CANONICAL)) == (Dim.exact(1), Dim.exact(1))
         # genus 0: the canonical degree -2 is negative, rule 1 applies
-        assert h0_h1(bundle(0, -2, Triviality.CANONICAL)) == (Dim.exact(0), Dim.exact(1))
+        assert bundle_h0_h1(bundle(0, -2, Triviality.CANONICAL)) == (Dim.exact(0), Dim.exact(1))
 
     def test_middle_range_is_interval(self):
-        h0, h1 = h0_h1(bundle(3, 2))
-        assert not h0.is_exact and not h1.is_exact
-        assert (h0.lower, h0.upper) == (0, 3)
-        assert (h1.lower, h1.upper) == (0, 3)
+        assert h0_h1(3, 2) == (0, 3, 0, 3)
+        # the generic flag leaves the bounds of the integer rule
+        assert bundle_h0_h1(bundle(3, 2)) == (Dim(0, 3), Dim(0, 3))
 
     def test_middle_range_lower_bound_respects_chi(self):
-        h0, h1 = h0_h1(bundle(3, 4))  # chi = 2, still middle range
-        assert h0.lower == 2 and h1.lower == 0
+        h0_lower, _, h1_lower, _ = h0_h1(3, 4)  # chi = 2, still middle range
+        assert h0_lower == 2 and h1_lower == 0
 
     def test_flag_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +103,7 @@ def test_chi_identity_exhaustive():
         for d in range(-30, 31):
             for flag in _all_flags(g, d):
                 b = bundle(g, d, flag)
-                h0, h1 = h0_h1(b)
+                h0, h1 = bundle_h0_h1(b)
                 if h0.is_exact and h1.is_exact:
                     assert h0.value - h1.value == euler_characteristic(b), (g, d, flag)
 
@@ -128,8 +126,8 @@ def test_serre_symmetry_exhaustive():
                     continue
                 b = bundle(g, d, flag)
                 dual = bundle(g, serre_dual_degree(b), _DUAL_FLAG[flag])
-                _, h1 = h0_h1(b)
-                h0_dual, _ = h0_h1(dual)
+                _, h1 = bundle_h0_h1(b)
+                h0_dual, _ = bundle_h0_h1(dual)
                 if h1.is_exact and h0_dual.is_exact:
                     assert h1.value == h0_dual.value, (g, d, flag)
 
@@ -138,19 +136,18 @@ def test_h1_vanishes_implies_exact_zero():
     for g in range(0, 7):
         for d in range(-30, 31):
             if d > 2 * g - 2:
-                assert h0_h1(bundle(g, d))[1] == Dim.exact(0)
+                assert h0_h1(g, d)[2:] == (0, 0)
 
 
 def test_h0_monotone_above_canonical_degree():
     for g in range(0, 7):
-        values = [
-            h0_h1(bundle(g, d))[0].value for d in range(2 * g - 1, 2 * g + 20)
-        ]
+        bounds = [h0_h1(g, d) for d in range(2 * g - 1, 2 * g + 20)]
+        assert all(lower == upper for lower, upper, _, _ in bounds)
+        values = [lower for lower, _, _, _ in bounds]
         assert values == sorted(values)
 
 
 def test_matches_line_oracle_at_genus_zero():
     for k in range(-30, 31):
-        h0, h1 = h0_h1(bundle(0, k))
         r = cech_h_p1(k)
-        assert (h0.value, h1.value) == (r.h0, r.h1), k
+        assert h0_h1(0, k) == (r.h0, r.h0, r.h1, r.h1), k

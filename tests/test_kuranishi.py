@@ -1,6 +1,6 @@
 import pytest
 
-from modulidim.curves import CurveLineBundle, euler_characteristic, h0_h1, h0_h1_bounds
+from modulidim.curves import h0_h1
 from modulidim.dims import Dim
 from modulidim.kuranishi import (
     ComparisonReport,
@@ -14,12 +14,17 @@ from modulidim.kuranishi import (
     toy_unstable_codim,
 )
 from modulidim.surface import (
-    BidegreeBundle,
     Polarization,
     PreconditionError,
     ProductSurface,
     is_destabilizing,
-    kunneth_h,
+)
+from reference import (
+    BidegreeBundle,
+    CurveLineBundle,
+    bundle_h0_h1,
+    bundle_kunneth_h,
+    euler_characteristic,
     twist,
 )
 
@@ -107,20 +112,21 @@ _DIM_QUANTITIES = (
 
 
 def _kunneth_reference(stratum):
-    """Every Dim field of the ledger, through kunneth_h on the twists of L
-    and h0_h1 on the second-factor inverse square."""
+    """Every Dim field of the ledger, through the reference Kunneth
+    convolution on the twists of L and the reference curve cascade on the
+    second-factor inverse square."""
     s = stratum.surface
     sub = BidegreeBundle.of_type(s, stratum.m, stratum.n)
     o = BidegreeBundle.structure_sheaf(s)
     nu1 = 2 * stratum.m + s.curve1.genus - 1
-    h0_2, h1_2 = h0_h1(CurveLineBundle(s.curve2, -2 * stratum.n))
+    h0_2, h1_2 = bundle_h0_h1(CurveLineBundle(s.curve2, -2 * stratum.n))
     return {
-        "t_u": kunneth_h(1, twist(sub, 2)),
-        "t_o": kunneth_h(1, o),
-        "t_s": kunneth_h(1, twist(sub, -2)),
-        "comp_i_target": kunneth_h(2, twist(sub, 2)),
-        "comp_ii_target": kunneth_h(2, o),
-        "comp_iii_target": kunneth_h(2, twist(sub, -2)),
+        "t_u": bundle_kunneth_h(1, twist(sub, 2)),
+        "t_o": bundle_kunneth_h(1, o),
+        "t_s": bundle_kunneth_h(1, twist(sub, -2)),
+        "comp_i_target": bundle_kunneth_h(2, twist(sub, 2)),
+        "comp_ii_target": bundle_kunneth_h(2, o),
+        "comp_iii_target": bundle_kunneth_h(2, twist(sub, -2)),
         "codim": nu1 * h0_2,
         "equations": nu1 * h1_2,
     }
@@ -141,10 +147,10 @@ class TestLedgerKernel:
         for stratum in _kernel_grid():
             r = component_report(stratum)
             s, m, n = stratum.surface, stratum.m, stratum.n
-            assert h0_h1(CurveLineBundle(s.curve1, -2 * m)) == (
+            assert bundle_h0_h1(CurveLineBundle(s.curve1, -2 * m)) == (
                 Dim.exact(0), Dim.exact(r.nu1)
             )
-            assert h0_h1_bounds(s.curve1.genus, -2 * m) == (0, 0, r.nu1, r.nu1)
+            assert h0_h1(s.curve1.genus, -2 * m) == (0, 0, r.nu1, r.nu1)
             assert r.chi2 == euler_characteristic(CurveLineBundle(s.curve2, -2 * n))
             assert r.t_o == Dim.exact(sum(s.genera))
 

@@ -1,7 +1,8 @@
-"""The value contract every record of the package keeps: equality and hash
-by field values, the ``Name(field=value, ...)`` repr, immutability,
-``copy``/``pickle`` round trips, and a constructor that binds arguments like
-a plain signature and runs the record's checks."""
+"""The value contract every record of the package, and of the test
+reference, keeps: equality and hash by field values, the
+``Name(field=value, ...)`` repr, immutability, ``copy``/``pickle`` round
+trips, and a constructor that binds arguments like a plain signature and
+runs the record's checks."""
 
 import copy
 import pickle
@@ -9,7 +10,7 @@ import pickle
 import pytest
 
 import modulidim.cli  # noqa: F401  (loads every module that defines a record)
-from modulidim.curves import Curve, CurveLineBundle, Triviality
+from modulidim.curves import Curve
 from modulidim.dims import Dim, Record
 from modulidim.kuranishi import (
     ComparisonReport,
@@ -20,19 +21,14 @@ from modulidim.kuranishi import (
 )
 from modulidim.oracle import KoszulExtResult, KoszulModel, P1CechResult, ProductCechResult
 from modulidim.skyscraper import KilledPairingsVerdict, PairingComponent
-from modulidim.surface import (
-    BidegreeBundle,
-    Polarization,
-    PreconditionError,
-    ProductSurface,
-    SurfaceTopology,
-)
+from modulidim.surface import Polarization, PreconditionError, ProductSurface, SurfaceTopology
 from modulidim.unstable import (
     ConditionVerdict,
     SelectedTwist,
     UnstableFamilySpec,
     ValidationVerdict,
 )
+from reference import BidegreeBundle, CurveLineBundle, Triviality
 
 _SURFACE = ProductSurface(Curve(0), Curve(2))
 _POLARIZATION = Polarization(2, 1)
@@ -213,7 +209,16 @@ def test_checks_run_by_position_and_by_keyword(cls, good, bad, error):
 
 def test_only_records_with_defaults_or_hot_paths_define_init():
     # every other record is built by Record.__init__; Dim and KuranishiReport
-    # are built tens of thousands of times per sweep, and the other two give
-    # a field a default
-    own_init = {cls.__name__ for cls in Record.__subclasses__() if "__init__" in vars(cls)}
-    assert own_init == {"Dim", "KuranishiReport", "CurveLineBundle", "BidegreeBundle"}
+    # are built tens of thousands of times per sweep, and the two records of
+    # the test reference give a field a default
+    own_init = {
+        (cls.__module__.partition(".")[0], cls.__name__)
+        for cls in Record.__subclasses__()
+        if "__init__" in vars(cls)
+    }
+    assert own_init == {
+        ("modulidim", "Dim"),
+        ("modulidim", "KuranishiReport"),
+        ("reference", "CurveLineBundle"),
+        ("reference", "BidegreeBundle"),
+    }

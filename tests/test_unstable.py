@@ -1,13 +1,12 @@
+import contextlib
+import io
+import json
+
 import pytest
 
+from modulidim.cli import main
 from modulidim.surface import PreconditionError, ProductSurface, intersection
-from modulidim.unstable import (
-    UnstableFamilySpec,
-    dim_lower_bound,
-    q_length,
-    select_twist,
-    validate,
-)
+from modulidim.unstable import UnstableFamilySpec, select_twist, validate
 
 P1P1 = ProductSurface.from_genera(0, 0)
 G22 = ProductSurface.from_genera(2, 2)
@@ -15,6 +14,21 @@ G22 = ProductSurface.from_genera(2, 2)
 
 def family(surface, ample, det, sub, c2):
     return UnstableFamilySpec(surface, ample, det, sub, c2)
+
+
+def statuses(verdict):
+    return {c.name: c.status for c in verdict.conditions}
+
+
+def report(f):
+    """The ``report unstable`` document for one family."""
+    g1, g2 = f.surface.genera
+    argv = ["report", "unstable", f"--g1={g1}", f"--g2={g2}", f"--c2={f.c2}"]
+    argv += [f"--{flag}={a},{b}" for flag, (a, b) in (("H", f.ample), ("R", f.det), ("L", f.sub))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) in (0, 3)
+    return json.loads(out.getvalue())
 
 
 class TestValidate:
@@ -26,7 +40,7 @@ class TestValidate:
     def test_slope_boundary_fails(self):
         v = validate(family(P1P1, (1, 1), (0, 0), (0, 0), 8))
         assert not v.passed
-        assert v.failing() == ("slope",)
+        assert [c.status for c in v.conditions] == ["fail", "pass", "pass"]
 
     def test_passing_example_genus_two(self):
         v = validate(family(G22, (1, 1), (1, 1), (3, 3), 0))
@@ -35,27 +49,24 @@ class TestValidate:
     def test_c2_floor_fails(self):
         v = validate(family(P1P1, (1, 1), (0, 0), (2, 2), -9))
         assert not v.passed
-        assert "c2-bound" in v.failing()
+        assert statuses(v)["c2-bound"] == "fail"
 
     def test_vanishing_fail_when_sections_pinned(self):
         # K + R - 2L of bidegree (2, 2) on the lines has h0 = 9
         v = validate(family(P1P1, (1, 1), (8, 8), (2, 2), 100))
-        vanishing = {c.name: c for c in v.conditions}["section-vanishing"]
-        assert vanishing.status == "fail"
+        assert statuses(v)["section-vanishing"] == "fail"
 
     def test_vanishing_fail_when_lower_bound_positive(self):
         # K + R - 2L of bidegree (2, 2) on genus (2, 2): middle range, but
         # the Euler characteristic already forces a section on each factor
         v = validate(family(G22, (1, 1), (4, 4), (2, 2), 100))
-        vanishing = {c.name: c for c in v.conditions}["section-vanishing"]
-        assert vanishing.status == "fail"
+        assert statuses(v)["section-vanishing"] == "fail"
 
     def test_vanishing_undecidable_in_middle_range(self):
         # K + R - 2L of bidegree (1, 1) on genus (2, 2) is middle range
         # with section count bounded to [0..2] per factor
         v = validate(family(G22, (1, 1), (3, 3), (2, 2), 100))
-        vanishing = {c.name: c for c in v.conditions}["section-vanishing"]
-        assert vanishing.status == "undecidable"
+        assert statuses(v)["section-vanishing"] == "undecidable"
         assert not v.passed
 
     def test_assumptions_recorded(self):
@@ -69,21 +80,32 @@ class TestValidate:
 
 class TestQLength:
     def test_examples(self):
-        assert q_length(family(P1P1, (1, 1), (0, 0), (2, 2), 8)) == 16
-        assert q_length(family(G22, (1, 1), (1, 1), (3, 3), 0)) == 12
+        for f, points in [
+            (family(P1P1, (1, 1), (0, 0), (2, 2), 8), 16),
+            (family(G22, (1, 1), (1, 1), (3, 3), 0), 12),
+        ]:
+            v = validate(f)
+            assert v.passed and v.q_length == points
 
     def test_boundary_is_zero(self):
         s = family(P1P1, (1, 1), (0, 0), (2, 2), -8)
-        assert q_length(s) == 0
-        assert dim_lower_bound(s) == 0
+        assert validate(s).q_length == 0
+        assert report(s)["results"]["dim_lower_bound"]["value"] == 0
 
     def test_requires_valid_spec(self):
-        with pytest.raises(PreconditionError):
-            q_length(family(P1P1, (1, 1), (0, 0), (0, 0), 8))
+        # the verdict still counts the points, but a family that fails a
+        # condition gets no bounds in the report
+        s = family(P1P1, (1, 1), (0, 0), (0, 0), 8)
+        v = validate(s)
+        assert not v.passed and statuses(v)["slope"] == "fail"
+        assert v.q_length == 8
+        doc = report(s)
+        assert doc["results"] == {} and doc["verdicts"]["family_admissible"] == "fail"
 
     def test_monotone_in_c2_with_unit_slope(self):
         values = [
-            q_length(family(P1P1, (1, 1), (0, 0), (3, 3), c2)) for c2 in range(-15, 10)
+            validate(family(P1P1, (1, 1), (0, 0), (3, 3), c2)).q_length
+            for c2 in range(-15, 10)
         ]
         diffs = {b - a for a, b in zip(values, values[1:])}
         assert diffs == {1}
@@ -94,16 +116,19 @@ class TestQLength:
                 sub = (l1, l2)
                 floor = -2 * l1 * l2
                 for c2 in range(floor, floor + 6):
-                    s = family(P1P1, (1, 1), (0, 0), sub, c2)
-                    assert (q_length(s) == 0) == (c2 == floor)
+                    v = validate(family(P1P1, (1, 1), (0, 0), sub, c2))
+                    assert v.passed and (v.q_length == 0) == (c2 == floor)
 
 
 class TestDimLowerBound:
+    # the family dimension bound is reported by ``report unstable`` as twice
+    # the point count
     def test_doubles_point_count(self):
         s = family(P1P1, (1, 1), (0, 0), (2, 2), 8)
-        assert dim_lower_bound(s) == 32
+        assert report(s)["results"]["dim_lower_bound"]["value"] == 32
 
     def test_formula_over_grid(self):
+        checked = 0
         for g in range(0, 3):
             surface = ProductSurface.from_genera(g, g)
             for l1 in range(1, 5):
@@ -118,7 +143,10 @@ class TestDimLowerBound:
                         expected = 2 * (
                             30 + intersection(sub, sub) - intersection(sub, det)
                         )
-                        assert dim_lower_bound(s) == expected
+                        assert 2 * v.q_length == expected
+                        assert report(s)["results"]["dim_lower_bound"]["value"] == expected
+                        checked += 1
+        assert checked > 50
 
 
 class TestSelectTwist:
@@ -126,7 +154,7 @@ class TestSelectTwist:
         res = select_twist(P1P1, (1, 1), (0, 0), 0, 4)
         assert res.t == 2
         assert res.family.sub == (2, 2)
-        assert dim_lower_bound(res.family) == 16 >= 8
+        assert res.q_length == validate(res.family).q_length == 8 >= 4
 
     def test_vacuous_inequality_gives_t_one(self):
         # a <= c2 with every other condition already met at t = 1
@@ -135,8 +163,8 @@ class TestSelectTwist:
 
     def test_genus_two_scan(self):
         res = select_twist(G22, (1, 1), (2, 0), 1, 10)
-        assert validate(res.family).passed
-        assert dim_lower_bound(res.family) >= 20
+        v = validate(res.family)
+        assert v.passed and res.q_length == v.q_length >= 10
 
     def test_bound_met_over_grid(self):
         for g in range(0, 5):
@@ -146,7 +174,7 @@ class TestSelectTwist:
                     for c2 in (-5, 0, 7):
                         for a in (1, 5, 20):
                             res = select_twist(surface, h, det, c2, a)
-                            assert dim_lower_bound(res.family) >= 2 * a
+                            assert res.q_length == validate(res.family).q_length >= a
 
     def test_minimality(self):
         h2 = lambda h: intersection(h, h)
