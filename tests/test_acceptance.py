@@ -246,7 +246,8 @@ def test_criterion_5_unstable_component_suite(capsys):
             for c2 in (-4, 0, 6):
                 for a in (1, 7, 20):
                     res = select_twist(surface, (1, 1), det, c2, a)
-                    assert res.q_length == validate(res.family).q_length >= a
+                    v = validate(res.family)
+                    assert v.passed and res.q_length == v.q_length >= a
                     if res.t > 1:
                         t = res.t - 1
                         h2 = intersection((1, 1), (1, 1))

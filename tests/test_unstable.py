@@ -89,7 +89,8 @@ class TestQLength:
 
     def test_boundary_is_zero(self):
         s = family(P1P1, (1, 1), (0, 0), (2, 2), -8)
-        assert validate(s).q_length == 0
+        v = validate(s)
+        assert v.passed and v.q_length == 0
         assert report(s)["results"]["dim_lower_bound"]["value"] == 0
 
     def test_requires_valid_spec(self):
@@ -103,10 +104,11 @@ class TestQLength:
         assert doc["results"] == {} and doc["verdicts"]["family_admissible"] == "fail"
 
     def test_monotone_in_c2_with_unit_slope(self):
-        values = [
-            validate(family(P1P1, (1, 1), (0, 0), (3, 3), c2)).q_length
-            for c2 in range(-15, 10)
+        verdicts = [
+            validate(family(P1P1, (1, 1), (0, 0), (3, 3), c2)) for c2 in range(-15, 10)
         ]
+        assert all(v.passed for v in verdicts)
+        values = [v.q_length for v in verdicts]
         diffs = {b - a for a, b in zip(values, values[1:])}
         assert diffs == {1}
 
@@ -154,7 +156,8 @@ class TestSelectTwist:
         res = select_twist(P1P1, (1, 1), (0, 0), 0, 4)
         assert res.t == 2
         assert res.family.sub == (2, 2)
-        assert res.q_length == validate(res.family).q_length == 8 >= 4
+        v = validate(res.family)
+        assert v.passed and res.q_length == v.q_length == 8 >= 4
 
     def test_vacuous_inequality_gives_t_one(self):
         # a <= c2 with every other condition already met at t = 1
@@ -174,7 +177,8 @@ class TestSelectTwist:
                     for c2 in (-5, 0, 7):
                         for a in (1, 5, 20):
                             res = select_twist(surface, h, det, c2, a)
-                            assert res.q_length == validate(res.family).q_length >= a
+                            v = validate(res.family)
+                            assert v.passed and res.q_length == v.q_length >= a
 
     def test_minimality(self):
         h2 = lambda h: intersection(h, h)
