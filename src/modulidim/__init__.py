@@ -17,12 +17,11 @@ The ``modulidim`` command line exposes all of it as JSON or markdown
 reports; see :mod:`modulidim.cli`.
 """
 
-from .curves import Curve, canonical_degree, h0_h1
+from .curves import canonical_degree, h0_h1
 from .dims import Dim, IndeterminateDimensionError
 from .kuranishi import (
     ComparisonReport,
     KuranishiReport,
-    SplitStratum,
     component_report,
     homology_comparison_report,
     nonfiltrable_report,
@@ -44,14 +43,12 @@ from .surface import (
     Polarization,
     PreconditionError,
     ProductSurface,
-    SurfaceTopology,
     c2_of_extension,
     degree_wrt,
     intersection,
     is_destabilizing,
     kunneth_h,
     moduli_real_dimension,
-    surface_topology,
 )
 from .unstable import (
     SelectedTwist,
@@ -65,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonReport",
-    "Curve",
     "Dim",
     "IndeterminateDimensionError",
     "KoszulModel",
@@ -74,8 +70,6 @@ __all__ = [
     "PreconditionError",
     "ProductSurface",
     "SelectedTwist",
-    "SplitStratum",
-    "SurfaceTopology",
     "UnstableFamilySpec",
     "ValidationVerdict",
     "c2_of_extension",
@@ -96,7 +90,6 @@ __all__ = [
     "nonfiltrable_report",
     "select_twist",
     "shift_by_length",
-    "surface_topology",
     "toy_domain_dim",
     "toy_unstable_codim",
     "validate",

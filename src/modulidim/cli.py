@@ -38,7 +38,6 @@ from . import discrepancies
 from .dims import Dim
 from .kuranishi import (
     KuranishiReport,
-    SplitStratum,
     component_report,
     homology_comparison_report,
     nonfiltrable_report,
@@ -61,8 +60,8 @@ from .surface import (
     c2_of_extension,
     degree_wrt,
     intersection,
+    kunneth_h,
     moduli_real_dimension,
-    surface_topology,
 )
 from .unstable import UnstableFamilySpec, select_twist, validate
 
@@ -109,9 +108,9 @@ def _ledger_results(report: KuranishiReport, names: tuple[str, ...]) -> dict:
 
 def _kuranishi_doc(args) -> tuple[dict, int]:
     """``report nonfiltrable``, and ``report split`` as its ``l = 0`` case."""
-    surface = ProductSurface.from_genera(args.g1, args.g2)
-    stratum = SplitStratum(surface, args.m, args.n, Polarization(args.alpha, args.beta))
-    report = nonfiltrable_report(stratum, args.l)
+    surface = ProductSurface(args.g1, args.g2)
+    w = Polarization(args.alpha, args.beta)
+    report = nonfiltrable_report(surface, args.m, args.n, w, args.l)
     doc = {
         "command": f"report {args.report_kind}",
         "inputs": {
@@ -119,15 +118,13 @@ def _kuranishi_doc(args) -> tuple[dict, int]:
             "g2": report.g2,
             "m": report.m,
             "n": report.n,
-            "alpha": report.alpha,
-            "beta": report.beta,
+            "alpha": args.alpha,
+            "beta": args.beta,
             "l": report.q_length,
         },
         "results": {
             **_ledger_results(report, _LEDGER_FIELDS),
-            "moduli_real_dim": _pv(
-                moduli_real_dimension(report.c2, surface_topology(surface)), "closed-form"
-            ),
+            "moduli_real_dim": _pv(moduli_real_dimension(report.c2, surface), "closed-form"),
         },
         "verdicts": {
             "margin_exceeds_c2": report.margin_exceeds_c2,
@@ -148,7 +145,7 @@ def _kuranishi_doc(args) -> tuple[dict, int]:
 
 def _toy_doc(m: int, n: int) -> dict:
     c2 = c2_of_extension((m, n), (-m, -n), 0)
-    topology = surface_topology(ProductSurface.from_genera(0, 0))
+    lines = ProductSurface(0, 0)
     return {
         "command": "report toy",
         "inputs": {"m": m, "n": n},
@@ -157,10 +154,11 @@ def _toy_doc(m: int, n: int) -> dict:
             "codim": _pv(toy_unstable_codim(m, n), "closed-form"),
             "c2": _pv(c2, "closed-form"),
             "domain_dim_convolution": _pv(
-                (2 * m + 1) * (-2 * n - 1) + (2 * m - 1) * (-2 * n + 1),
+                (kunneth_h(lines, (2 * m, 2 * n))[1]
+                 + kunneth_h(lines, (-2 * m, -2 * n))[1]).value,
                 "closed-form",
             ),
-            "moduli_real_dim": _pv(moduli_real_dimension(c2, topology), "closed-form"),
+            "moduli_real_dim": _pv(moduli_real_dimension(c2, lines), "closed-form"),
         },
         "discrepancy_ledger": [discrepancies.c2_entry(m, n, 0, c2)],
     }
@@ -168,7 +166,7 @@ def _toy_doc(m: int, n: int) -> dict:
 
 def _compare_doc(args) -> tuple[dict, int]:
     report = homology_comparison_report(
-        ProductSurface.from_genera(args.g1, args.g2),
+        ProductSurface(args.g1, args.g2),
         Polarization(args.alpha, args.beta),
         args.c2,
         args.bound,
@@ -214,7 +212,7 @@ def _compare_doc(args) -> tuple[dict, int]:
 def _unstable_doc(args) -> tuple[dict, int]:
     """``--L`` checks one family; ``--select-t --a`` chooses ``L`` itself.
     A flag that the chosen form would ignore is refused."""
-    surface = ProductSurface.from_genera(args.g1, args.g2)
+    surface = ProductSurface(args.g1, args.g2)
     doc: dict = {
         "command": "report unstable",
         "inputs": {
@@ -368,7 +366,7 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
     ``(m, n)`` and shifted by each ``l``. Its entries that the shift leaves
     unchanged are built once per ``(m, n)``, and ``t_o``, which depends only
     on ``l`` and the genera, once per ``l``; rows share those dicts."""
-    surface = ProductSurface.from_genera(config["g1"], config["g2"])
+    surface = ProductSurface(config["g1"], config["g2"])
     w = Polarization(config["alpha"], config["beta"])
     t_o_by_length: dict[int, dict] = {}
     rows = []
@@ -381,7 +379,7 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
             elif m < 1:
                 skipped = "outside-validity: needs m >= 1"
             else:
-                split = component_report(SplitStratum(surface, m, n, w))
+                split = component_report(surface, m, n, w)
                 unshifted = _ledger_results(split, _SWEEP_UNSHIFTED_FIELDS)
             for l in config["l_range"]:
                 if split is None:
@@ -635,7 +633,8 @@ def build_parser() -> _Parser:
           *ledger, "--l")
     _leaf(rsub, "toy", "closed forms for a product of two lines",
           lambda args: (_toy_doc(args.m, args.n), EXIT_OK), "--m", "--n")
-    pair = {"type": _pair_arg, "metavar": "a,b"}
+    pair = {"type": _pair_arg, "metavar": "a,b",
+            "help": "a class a,b; with a negative first entry write --%(dest)s=-2,0"}
     _leaf(rsub, "unstable", "totally unstable family bounds", _unstable_doc,
           "--g1", "--g2", ("--H", {**pair, "required": True}), ("--R", {**pair, "required": True}),
           ("--L", pair), "--c2", ("--select-t", {"action": "store_true"}), ("--a", {"type": int}))

@@ -18,21 +18,9 @@ computed exactly.
 
 from __future__ import annotations
 
-from .dims import Record
 
-
-class Curve(Record):
-    """A smooth projective curve, known only through its genus."""
-
-    __slots__ = ("genus",)
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-
-
-def canonical_degree(curve: Curve) -> int:
-    return 2 * curve.genus - 2
+def canonical_degree(genus: int) -> int:
+    return 2 * genus - 2
 
 
 def h0_h1(genus: int, degree: int) -> tuple[int, int, int, int]:

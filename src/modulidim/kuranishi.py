@@ -38,39 +38,19 @@ from .surface import (
 )
 
 
-class SplitStratum(Record):
-    """Deformations of ``L + L^-1`` with ``L`` of bidegree ``(m, n)``.
-
-    The bidegree must have nonnegative degree against the polarization,
-    since the stratum describes unstable deformations.
-    """
-
-    __slots__ = ("surface", "m", "n", "polarization")
-
-    def __post_init__(self):
-        if not is_destabilizing((self.m, self.n), self.polarization):
-            raise PreconditionError(
-                f"bidegree ({self.m}, {self.n}) has negative degree against "
-                f"{self.polarization} and destabilizes nothing"
-            )
-
-
 class KuranishiReport(Record):
     """Per-component dimension ledger for one unstable stratum: the inputs
     and four Kunneth dimensions are stored, every other entry is derived."""
 
-    __slots__ = ("g1", "g2", "m", "n", "alpha", "beta", "q_length",
-                 "t_u", "comp_i_target", "codim", "equations")
+    __slots__ = ("g1", "g2", "m", "n", "q_length", "t_u", "comp_i_target", "codim", "equations")
 
     # own __init__: the 39,600-row sweep builds 20,130 reports, at half Record.__init__'s cost
-    def __init__(self, g1: int, g2: int, m: int, n: int, alpha: int, beta: int, q_length: int,
+    def __init__(self, g1: int, g2: int, m: int, n: int, q_length: int,
                  t_u: Dim, comp_i_target: Dim, codim: Dim, equations: Dim):
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "q_length", q_length)
         object.__setattr__(self, "t_u", t_u)
         object.__setattr__(self, "comp_i_target", comp_i_target)
@@ -184,7 +164,7 @@ class ComparisonReport(Record):
     strata). Not-established strata are listed with every verdict.
     """
 
-    __slots__ = ("surface", "polarization", "c2", "bound", "strata", "excluded")
+    __slots__ = ("c2", "strata", "excluded")
 
     @property
     def not_established(self) -> tuple[dict, ...]:
@@ -237,46 +217,42 @@ def _require_mixed(m: int, n: int):
         raise PreconditionError(f"need m > 0 and n < 0, got ({m}, {n})")
 
 
-def component_report(stratum: SplitStratum) -> KuranishiReport:
-    """Full dimension ledger around a split bundle.
+def component_report(surface: ProductSurface, m: int, n: int, w: Polarization) -> KuranishiReport:
+    """Full dimension ledger around the split bundle ``L + L^-1``, with ``L``
+    of bidegree ``(m, n)``.
 
-    Requires ``m >= 1`` so the first-factor section count of the inverse
-    square vanishes and its h1, the multiplier ``nu1``, is exact. The margin
-    is exact unconditionally; it is only meaningful (established) when the
-    Euler characteristic of the second-factor inverse square is positive.
+    The bidegree must have nonnegative degree against the polarization,
+    since the stratum describes unstable deformations. Requires ``m >= 1``
+    so the first-factor section count of the inverse square vanishes and
+    its h1, the multiplier ``nu1``, is exact. The margin is exact
+    unconditionally; it is only meaningful (established) when the Euler
+    characteristic of the second-factor inverse square is positive.
 
     The four stored dimensions are the Kunneth ``h^1`` and ``h^2``
     (:func:`modulidim.surface.kunneth_h`) of the square of ``L``, bidegree
     ``(2m, 2n)``, and of its inverse, bidegree ``(-2m, -2n)``. The rest of
     the ledger is derived from them.
     """
-    if stratum.m < 1:
-        raise PreconditionError(f"the ledger requires m >= 1, got m = {stratum.m}")
-    surface, m, n = stratum.surface, stratum.m, stratum.n
-    g1, g2 = surface.genera
-    square, inverse = (2 * m, 2 * n), (-2 * m, -2 * n)
-    return KuranishiReport(
-        g1=g1,
-        g2=g2,
-        m=m,
-        n=n,
-        alpha=stratum.polarization.alpha,
-        beta=stratum.polarization.beta,
-        q_length=0,
-        t_u=kunneth_h(1, surface, square),
-        comp_i_target=kunneth_h(2, surface, square),
-        codim=kunneth_h(1, surface, inverse),
-        equations=kunneth_h(2, surface, inverse),
-    )
+    if not is_destabilizing((m, n), w):
+        raise PreconditionError(
+            f"bidegree ({m}, {n}) has negative degree against {w} and destabilizes nothing"
+        )
+    if m < 1:
+        raise PreconditionError(f"the ledger requires m >= 1, got m = {m}")
+    _, t_u, comp_i_target = kunneth_h(surface, (2 * m, 2 * n))
+    _, codim, equations = kunneth_h(surface, (-2 * m, -2 * n))
+    return KuranishiReport(surface.g1, surface.g2, m, n, 0, t_u, comp_i_target, codim, equations)
 
 
-def nonfiltrable_report(split: SplitStratum, l: int) -> KuranishiReport:
+def nonfiltrable_report(
+    surface: ProductSurface, m: int, n: int, w: Polarization, l: int
+) -> KuranishiReport:
     """Dimension ledger around a nonfiltrable bundle: an extension of a
-    rank-1 torsion-free sheaf by the destabilizing bundle of ``split``, whose
-    point-supported quotient has total length ``l``. It is the split ledger
-    (:func:`component_report`) shifted by ``l`` (:func:`shift_by_length`);
-    ``l = 0`` gives the split ledger itself."""
-    return shift_by_length(component_report(split), l)
+    rank-1 torsion-free sheaf by the destabilizing bundle of bidegree
+    ``(m, n)``, whose point-supported quotient has total length ``l``. It is
+    the split ledger (:func:`component_report`) shifted by ``l``
+    (:func:`shift_by_length`); ``l = 0`` gives the split ledger itself."""
+    return shift_by_length(component_report(surface, m, n, w), l)
 
 
 def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
@@ -304,8 +280,6 @@ def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
         g2=split.g2,
         m=split.m,
         n=split.n,
-        alpha=split.alpha,
-        beta=split.beta,
         q_length=l,
         t_u=Dim(split.t_u.lower + l - absorbed, split.t_u.upper + l),
         comp_i_target=split.comp_i_target,
@@ -363,20 +337,13 @@ def homology_comparison_report(
     """
     mixed, excluded = enumerate_strata(surface, w, c2, bound)
     # the swapped strata share one surface and polarization, factors exchanged
-    swapped_surface = ProductSurface(surface.curve2, surface.curve1)
+    swapped_surface = ProductSurface(surface.g2, surface.g1)
     swapped_w = Polarization(w.beta, w.alpha)
     outcomes = []
     for m, n, l, orientation in mixed:
         if orientation == "standard":
-            split = SplitStratum(surface, m, n, w)
+            report = nonfiltrable_report(surface, m, n, w, l)
         else:
-            split = SplitStratum(swapped_surface, n, m, swapped_w)
-        outcomes.append(StratumOutcome(orientation, nonfiltrable_report(split, l)))
-    return ComparisonReport(
-        surface=surface,
-        polarization=w,
-        c2=c2,
-        bound=bound,
-        strata=tuple(outcomes),
-        excluded=tuple(excluded),
-    )
+            report = nonfiltrable_report(swapped_surface, n, m, swapped_w, l)
+        outcomes.append(StratumOutcome(orientation, report))
+    return ComparisonReport(c2=c2, strata=tuple(outcomes), excluded=tuple(excluded))

@@ -11,7 +11,7 @@ bidegree is the Kunneth convolution of the integer curve rule
 
 from __future__ import annotations
 
-from .curves import Curve, h0_h1
+from .curves import h0_h1
 from .dims import Dim, Record
 
 Pair = tuple[int, int]
@@ -22,17 +22,15 @@ class PreconditionError(ValueError):
 
 
 class ProductSurface(Record):
-    """``C1 x C2`` with Pic-independent factors (an assumed input)."""
+    """``C1 x C2`` with Pic-independent factors (an assumed input), known
+    only through the genera of its factors."""
 
-    __slots__ = ("curve1", "curve2")
+    __slots__ = ("g1", "g2")
 
-    @staticmethod
-    def from_genera(g1: int, g2: int) -> "ProductSurface":
-        return ProductSurface(Curve(g1), Curve(g2))
-
-    @property
-    def genera(self) -> Pair:
-        return (self.curve1.genus, self.curve2.genus)
+    def __post_init__(self):
+        for genus in (self.g1, self.g2):
+            if genus < 0:
+                raise ValueError(f"genus must be >= 0, got {genus}")
 
 
 class Polarization(Record):
@@ -45,32 +43,26 @@ class Polarization(Record):
             raise ValueError("a polarization on a product of curves needs alpha, beta > 0")
 
 
-class SurfaceTopology(Record):
-    __slots__ = ("b1", "b2_minus")
-
-
-def kunneth_h(q: int, surface: ProductSurface, bidegree: Pair) -> Dim:
-    """q-th cohomology dimension of the generic bundle of this bidegree,
-    by the Kunneth convolution.
+def kunneth_h(surface: ProductSurface, bidegree: Pair) -> tuple[Dim, Dim, Dim]:
+    """``(h0, h1, h2)`` of the generic bundle of this bidegree, by the
+    Kunneth convolution.
 
     ``h^q(X, L1 x L2) = sum over i + j = q of h^i(C1, L1) h^j(C2, L2)``,
     with no curve cohomology above degree 1, taken bound by bound over the
     factors' :func:`modulidim.curves.h0_h1` (every bound is a nonnegative
-    integer). The result is exact exactly when every contributing factor is.
+    integer). Each result is exact exactly when every contributing factor is.
     """
-    if q not in (0, 1, 2):
-        raise PreconditionError(f"cohomology degree must be 0, 1 or 2, got {q}")
-    (g1, g2), (a, b) = surface.genera, bidegree
-    h0a_lower, h0a_upper, h1a_lower, h1a_upper = h0_h1(g1, a)
-    h0b_lower, h0b_upper, h1b_lower, h1b_upper = h0_h1(g2, b)
-    if q == 0:
-        return Dim(h0a_lower * h0b_lower, h0a_upper * h0b_upper)
-    if q == 1:
-        return Dim(
+    a, b = bidegree
+    h0a_lower, h0a_upper, h1a_lower, h1a_upper = h0_h1(surface.g1, a)
+    h0b_lower, h0b_upper, h1b_lower, h1b_upper = h0_h1(surface.g2, b)
+    return (
+        Dim(h0a_lower * h0b_lower, h0a_upper * h0b_upper),
+        Dim(
             h0a_lower * h1b_lower + h1a_lower * h0b_lower,
             h0a_upper * h1b_upper + h1a_upper * h0b_upper,
-        )
-    return Dim(h1a_lower * h1b_lower, h1a_upper * h1b_upper)
+        ),
+        Dim(h1a_lower * h1b_lower, h1a_upper * h1b_upper),
+    )
 
 
 def intersection(a: Pair, b: Pair) -> int:
@@ -109,18 +101,13 @@ def c2_of_extension(
     return intersection(bundle, quotient_reflexive_bidegree) + q_length
 
 
-def surface_topology(surface: ProductSurface) -> SurfaceTopology:
-    """First Betti number and the antiselfdual part of the second.
+def moduli_real_dimension(c2: int, surface: ProductSurface) -> int:
+    """Expected real dimension of the stable moduli space.
 
     For a product of curves ``b1 = 2(g1 + g2)``, and splitting
     ``b2 = 2 + 4 g1 g2`` by the Hodge decomposition leaves
     ``b2_minus = 2 g1 g2 + 1``.
     """
-    g1, g2 = surface.genera
-    return SurfaceTopology(b1=2 * (g1 + g2), b2_minus=2 * g1 * g2 + 1)
-
-
-def moduli_real_dimension(c2: int, topology: SurfaceTopology) -> int:
-    """Expected real dimension of the stable moduli space."""
-    return 8 * c2 - 3 * (1 - topology.b1 + topology.b2_minus)
-
+    b1 = 2 * (surface.g1 + surface.g2)
+    b2_minus = 2 * surface.g1 * surface.g2 + 1
+    return 8 * c2 - 3 * (1 - b1 + b2_minus)

@@ -50,12 +50,11 @@ class SelectedTwist(Record):
 
 def _vanishing_twist_bidegree(family: UnstableFamilySpec) -> Pair:
     """Bidegree of ``K + R - 2L``, whose sections must vanish."""
-    g1c, g2c = family.surface.curve1, family.surface.curve2
     r1, r2 = family.det
     l1, l2 = family.sub
     return (
-        canonical_degree(g1c) + r1 - 2 * l1,
-        canonical_degree(g2c) + r2 - 2 * l2,
+        canonical_degree(family.surface.g1) + r1 - 2 * l1,
+        canonical_degree(family.surface.g2) + r2 - 2 * l2,
     )
 
 
@@ -77,7 +76,7 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     )
 
     twist_bidegree = _vanishing_twist_bidegree(family)
-    h0 = kunneth_h(0, family.surface, twist_bidegree)
+    h0 = kunneth_h(family.surface, twist_bidegree)[0]
     if h0.upper == 0:
         status, detail = "pass", f"h0 of bidegree {twist_bidegree} is 0"
     elif h0.lower >= 1:

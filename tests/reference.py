@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 
-from modulidim.curves import Curve, canonical_degree, h0_h1
+from modulidim.curves import canonical_degree, h0_h1
 from modulidim.dims import Dim, Record
 from modulidim.surface import Pair, PreconditionError, ProductSurface
 
@@ -38,13 +38,13 @@ class Triviality(enum.Enum):
 
 
 class CurveLineBundle(Record):
-    __slots__ = ("curve", "degree", "triviality")
+    __slots__ = ("genus", "degree", "triviality")
 
-    def __init__(self, curve: Curve, degree: int, triviality: Triviality = Triviality.GENERIC):
-        super().__init__(curve, degree, triviality)
+    def __init__(self, genus: int, degree: int, triviality: Triviality = Triviality.GENERIC):
+        super().__init__(genus, degree, triviality)
 
     def __post_init__(self):
-        g, d, t = self.curve.genus, self.degree, self.triviality
+        g, d, t = self.genus, self.degree, self.triviality
         if t is Triviality.TRIVIAL and d != 0:
             raise ValueError("a trivial bundle has degree 0")
         if t is Triviality.NONTRIVIAL_DEGREE_ZERO:
@@ -58,12 +58,12 @@ class CurveLineBundle(Record):
 
 def euler_characteristic(bundle: CurveLineBundle) -> int:
     """h0 - h1, which depends on (genus, degree) only."""
-    return bundle.degree - bundle.curve.genus + 1
+    return bundle.degree - bundle.genus + 1
 
 
 def serre_dual_degree(bundle: CurveLineBundle) -> int:
     """Degree of the twist whose h0 equals h1 of this bundle."""
-    return canonical_degree(bundle.curve) - bundle.degree
+    return canonical_degree(bundle.genus) - bundle.degree
 
 
 def bundle_h0_h1(bundle: CurveLineBundle) -> tuple[Dim, Dim]:
@@ -82,7 +82,7 @@ def bundle_h0_h1(bundle: CurveLineBundle) -> tuple[Dim, Dim]:
     that rules 1 and 2 leave open. Rules 1, 2 and 6 are the package's
     :func:`modulidim.curves.h0_h1`, whose bounds become :class:`Dim` values.
     """
-    g = bundle.curve.genus
+    g = bundle.genus
     d = bundle.degree
     if 0 <= d <= 2 * g - 2:
         if bundle.triviality is Triviality.CANONICAL:
@@ -115,8 +115,8 @@ class BidegreeBundle(Record):
         a, b = self.bidegree
         ta, tb = self.factor_triviality
         return (
-            CurveLineBundle(self.surface.curve1, a, ta),
-            CurveLineBundle(self.surface.curve2, b, tb),
+            CurveLineBundle(self.surface.g1, a, ta),
+            CurveLineBundle(self.surface.g2, b, tb),
         )
 
     @staticmethod

@@ -12,13 +12,9 @@ import time
 import pytest
 
 from modulidim.cli import _toy_doc, main
-from modulidim.curves import Curve, h0_h1
+from modulidim.curves import h0_h1
 from modulidim.dims import Dim
-from modulidim.kuranishi import (
-    SplitStratum,
-    component_report,
-    nonfiltrable_report,
-)
+from modulidim.kuranishi import component_report, nonfiltrable_report
 from modulidim.oracle import KoszulModel, cech_h_p1, cech_h_product, koszul_ext
 from modulidim.surface import (
     Polarization,
@@ -44,9 +40,7 @@ def _announce(criterion: str, detail: str):
 def _stratum(g1, g2, m, n):
     # polarization chosen so the bidegree destabilizes; margins and c2 do
     # not depend on it
-    return SplitStratum(
-        ProductSurface.from_genera(g1, g2), m, n, Polarization(1 + abs(n), 1)
-    )
+    return ProductSurface(g1, g2), m, n, Polarization(1 + abs(n), 1)
 
 
 def test_criterion_1_toy_exactness(capsys):
@@ -79,12 +73,12 @@ def test_criterion_2_cech_oracles_vs_closed_forms(capsys):
         assert (r.h0, r.h1) == (expected_h0, expected_h1), k
         assert h0_h1(0, k) == (r.h0, r.h0, r.h1, r.h1)
 
-    surface = ProductSurface.from_genera(0, 0)
+    surface = ProductSurface(0, 0)
     for a in range(-6, 7):
         for b in range(-6, 7):
             r = cech_h_product(a, b)
-            for q, got in zip((0, 1, 2), (r.h0, r.h1, r.h2)):
-                assert kunneth_h(q, surface, (a, b)) == Dim.exact(got), (a, b, q)
+            expected = (Dim.exact(r.h0), Dim.exact(r.h1), Dim.exact(r.h2))
+            assert kunneth_h(surface, (a, b)) == expected, (a, b)
 
     # the two stated vanishings for the structure sheaf
     r = cech_h_product(0, 0)
@@ -124,7 +118,7 @@ def test_criterion_4_kirwan_margin_suite(capsys):
     start = time.monotonic()
     checked_dominance = 0
     for g1, g2, m, n in _margin_grid():
-        r = component_report(_stratum(g1, g2, m, n))
+        r = component_report(*_stratum(g1, g2, m, n))
         assert r.nu1 == 2 * m + g1 - 1
         assert r.margin == r.nu1 * (-2 * n - g2 + 1)
         if g1 >= 1:
@@ -140,7 +134,7 @@ def test_criterion_4_kirwan_margin_suite(capsys):
                 if not (-2 * n - g2 + 1 > 0 and n <= -g2):
                     continue
                 gaps = [
-                    component_report(_stratum(g1, g2, m, n)).margin + 2 * m * n
+                    component_report(*_stratum(g1, g2, m, n)).margin + 2 * m * n
                     for m in range(1, 16)
                 ]
                 assert all(x < y for x, y in zip(gaps, gaps[1:])), (g1, g2, n)
@@ -168,7 +162,7 @@ def test_criterion_4_kirwan_margin_suite(capsys):
 def test_criterion_4_genus_zero_dominance_counterexample():
     # pinned refutation: at genus 0 the stated multiplier exceeds the
     # oracle-backed one, so dominance reverses
-    r = component_report(_stratum(0, 0, 1, -1))
+    r = component_report(*_stratum(0, 0, 1, -1))
     assert r.nu1 == 1 and r.nu1_stated == 3
     assert r.margin == 3 < r.margin_stated == 9
     assert h0_h1(0, -2)[2:] == (1, 1), "duality pins the multiplier at 2m - 1 = 1"
@@ -183,7 +177,7 @@ def test_criterion_4_genus_zero_dominance_counterexample():
 )
 def test_criterion_4a_literal_full_grid_dominance():
     for g1, g2, m, n in _margin_grid():
-        r = component_report(_stratum(g1, g2, m, n))
+        r = component_report(*_stratum(g1, g2, m, n))
         assert r.margin >= r.margin_stated, (g1, g2, m, n)
 
 
@@ -191,8 +185,8 @@ def test_criterion_4_growth_window_counterexample():
     # pinned refutation: chi2 > 0 does not imply growth; at g2 = 2, n = -1
     # the gap margin - c2 is constant in m
     gaps = [
-        component_report(_stratum(0, 2, m, -1)).margin - component_report(
-            _stratum(0, 2, m, -1)
+        component_report(*_stratum(0, 2, m, -1)).margin - component_report(
+            *_stratum(0, 2, m, -1)
         ).c2
         for m in range(1, 8)
     ]
@@ -213,7 +207,7 @@ def test_criterion_4b_literal_growth_on_full_grid():
                 if -2 * n - g2 + 1 <= 0:
                     continue
                 gaps = [
-                    component_report(_stratum(g1, g2, m, n)).margin + 2 * m * n
+                    component_report(*_stratum(g1, g2, m, n)).margin + 2 * m * n
                     for m in range(1, 16)
                 ]
                 assert all(x < y for x, y in zip(gaps, gaps[1:])), (g1, g2, n)
@@ -223,7 +217,7 @@ def test_criterion_5_unstable_component_suite(capsys):
     start = time.monotonic()
     checked = 0
     for g in range(0, 5):
-        surface = ProductSurface.from_genera(g, g)
+        surface = ProductSurface(g, g)
         for l1 in range(-5, 6):
             for l2 in range(-5, 6):
                 sub = (l1, l2)
@@ -241,7 +235,7 @@ def test_criterion_5_unstable_component_suite(capsys):
     assert checked > 100
 
     for g in range(0, 5):
-        surface = ProductSurface.from_genera(g, g)
+        surface = ProductSurface(g, g)
         for det in [(0, 0), (2, 0), (-1, 3)]:
             for c2 in (-4, 0, 6):
                 for a in (1, 7, 20):
@@ -271,7 +265,7 @@ def test_criterion_6_degeneration_and_curve_invariants(capsys):
     # zero-length degeneration, field by field
     for g1, g2, m, n in [(0, 0, 1, -1), (2, 2, 3, -2), (2, 3, 2, -1), (4, 1, 5, -3)]:
         s = _stratum(g1, g2, m, n)
-        assert nonfiltrable_report(s, 0) == component_report(s)
+        assert nonfiltrable_report(*s, 0) == component_report(*s)
 
     # Serre symmetry and chi additivity over the stated ranges
     dual_flag = {
@@ -280,18 +274,17 @@ def test_criterion_6_degeneration_and_curve_invariants(capsys):
         Triviality.CANONICAL: Triviality.TRIVIAL,
     }
     for g in range(0, 7):
-        curve = Curve(g)
         for d in range(-30, 31):
             for flag in (Triviality.GENERIC, Triviality.TRIVIAL, Triviality.CANONICAL):
                 if flag is Triviality.TRIVIAL and d != 0:
                     continue
                 if flag is Triviality.CANONICAL and d != 2 * g - 2:
                     continue
-                b = CurveLineBundle(curve, d, flag)
+                b = CurveLineBundle(g, d, flag)
                 h0, h1 = bundle_h0_h1(b)
                 if h0.is_exact and h1.is_exact:
                     assert h0.value - h1.value == euler_characteristic(b)
-                dual = CurveLineBundle(curve, serre_dual_degree(b), dual_flag[flag])
+                dual = CurveLineBundle(g, serre_dual_degree(b), dual_flag[flag])
                 h0_dual, _ = bundle_h0_h1(dual)
                 if h1.is_exact and h0_dual.is_exact:
                     assert h1.value == h0_dual.value

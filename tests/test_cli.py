@@ -20,7 +20,7 @@ from modulidim.cli import (
     render_json,
     render_markdown,
 )
-from modulidim.kuranishi import SplitStratum, nonfiltrable_report
+from modulidim.kuranishi import nonfiltrable_report
 from modulidim.surface import Polarization, ProductSurface
 from modulidim.unstable import validate
 
@@ -280,6 +280,40 @@ class TestUnstableReport:
         assert (code, out) == (1, "")
         assert err.startswith("modulidim: error:") and err.count("\n") == 1
 
+    def test_negative_first_entry_needs_the_equals_form(self, capsys):
+        # argparse reads a separate "-2,0" as an option, so only "--R=-2,0" parses
+        flags = ("report", "unstable", "--g1", "0", "--g2", "0", "--H", "1,1", "--L", "2,2",
+                 "--c2", "8")
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "--R", "-2,0"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.endswith("error: argument --R: expected one argument\n")
+        code, doc, _ = run_json(capsys, *flags, "--R=-2,0")
+        assert code == 0 and doc["inputs"]["R"] == [-2, 0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("report split --g1=-1 --g2 0 --m 1 --n -1 --alpha 1 --beta 1",
+     "genus must be >= 0, got -1"),
+    ("report split --g1 0 --g2 0 --m 1 --n -2 --alpha 1 --beta 1",
+     "bidegree (1, -2) has negative degree against Polarization(alpha=1, beta=1) "
+     "and destabilizes nothing"),
+    ("report split --g1 0 --g2 0 --m 0 --n 1 --alpha 1 --beta 1",
+     "the ledger requires m >= 1, got m = 0"),
+    ("report compare --g1 0 --g2=-2 --c2 4 --alpha 1 --beta 1 --bound 3",
+     "genus must be >= 0, got -2"),
+    ("report unstable --g1=-1 --g2 0 --H 1,1 --R 0,0 --L 2,2 --c2 8",
+     "genus must be >= 0, got -1"),
+], ids=["split-genus", "split-not-destabilizing", "split-m-zero", "compare-genus",
+        "unstable-genus"])
+def test_geometry_refusal_exits_one_with_its_message(capsys, argv, message):
+    # the genus and the destabilizing check are made once, where the
+    # geometry enters: a surface's genera, a ledger's bidegree
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"modulidim: error: {message}"
+
 
 class TestOracleCommands:
     def test_p1(self, capsys):
@@ -484,16 +518,14 @@ beta = 1
                     "l_range = 0..6\nalpha = 2\nbeta = 1\n"
                 )
                 doc, code = _sweep_doc(config)
-                surface = ProductSurface.from_genera(g1, g2)
+                surface = ProductSurface(g1, g2)
                 expected_code = 0
                 for row in doc["results"]["rows"]:
                     statuses.add(row["status"])
                     if row["status"] not in ("ok", "not-established"):
                         assert set(row) == {"m", "n", "l", "status"}, row
                         continue
-                    report = nonfiltrable_report(
-                        SplitStratum(surface, row["m"], row["n"], w), row["l"]
-                    )
+                    report = nonfiltrable_report(surface, row["m"], row["n"], w, row["l"])
                     assert row == {
                         "m": report.m, "n": report.n, "l": report.q_length,
                         **_ledger_results(report, fields),

@@ -1,8 +1,9 @@
 import pytest
 
-from modulidim.curves import Curve, canonical_degree, h0_h1
+from modulidim.curves import canonical_degree, h0_h1
 from modulidim.dims import Dim
 from modulidim.oracle import cech_h_p1
+from modulidim.surface import ProductSurface
 from reference import (
     CurveLineBundle,
     Triviality,
@@ -13,7 +14,7 @@ from reference import (
 
 
 def bundle(g, d, flag=Triviality.GENERIC):
-    return CurveLineBundle(Curve(g), d, flag)
+    return CurveLineBundle(g, d, flag)
 
 
 @pytest.mark.parametrize(
@@ -26,7 +27,7 @@ def test_euler_characteristic(g, d, chi):
 
 @pytest.mark.parametrize("g,expected", [(0, -2), (1, 0), (2, 2)])
 def test_canonical_degree(g, expected):
-    assert canonical_degree(Curve(g)) == expected
+    assert canonical_degree(g) == expected
 
 
 @pytest.mark.parametrize(
@@ -82,8 +83,11 @@ class TestH0H1:
             bundle(0, 0, Triviality.NONTRIVIAL_DEGREE_ZERO)
 
     def test_negative_genus_rejected(self):
-        with pytest.raises(ValueError):
-            Curve(-1)
+        # a genus enters the package only through the surface, which checks
+        # the first factor's genus before the second's
+        for genera, bad in [((-1, 0), -1), ((0, -2), -2), ((-1, -2), -1)]:
+            with pytest.raises(ValueError, match=f"^genus must be >= 0, got {bad}$"):
+                ProductSurface(*genera)
 
 
 def _all_flags(g, d):

@@ -4,7 +4,6 @@ from modulidim.curves import h0_h1
 from modulidim.dims import Dim
 from modulidim.kuranishi import (
     ComparisonReport,
-    SplitStratum,
     component_report,
     enumerate_strata,
     homology_comparison_report,
@@ -29,9 +28,9 @@ from reference import (
 )
 
 W = Polarization(1, 1)
-P1P1 = ProductSurface.from_genera(0, 0)
-G22 = ProductSurface.from_genera(2, 2)
-G23 = ProductSurface.from_genera(2, 3)
+P1P1 = ProductSurface(0, 0)
+G22 = ProductSurface(2, 2)
+G23 = ProductSurface(2, 3)
 
 
 def _box_scan(w, c2, bound):
@@ -52,7 +51,8 @@ def _box_scan(w, c2, bound):
 
 
 def split(surface, m, n, w=W):
-    return SplitStratum(surface, m, n, w)
+    """The arguments of ``component_report`` for one split stratum."""
+    return surface, m, n, w
 
 
 class TestToy:
@@ -81,14 +81,14 @@ class TestToy:
 
 class TestTangentDims:
     def test_lines(self):
-        r = component_report(split(P1P1, 1, -1))
+        r = component_report(*split(P1P1, 1, -1))
         assert r.t_o == Dim.exact(0)
         assert r.t_u + r.t_s == Dim.exact(6)
         assert r.t_u + r.t_s == Dim.exact(toy_domain_dim(1, -1))
 
     def test_t_o_is_sum_of_genera(self):
-        assert component_report(split(G23, 1, -1)).t_o == Dim.exact(5)
-        assert component_report(split(G22, 4, -2)).t_o == Dim.exact(4)
+        assert component_report(*split(G23, 1, -1)).t_o == Dim.exact(5)
+        assert component_report(*split(G22, 4, -2)).t_o == Dim.exact(4)
 
 
 def _kernel_grid():
@@ -96,7 +96,7 @@ def _kernel_grid():
     polarizations, destabilizing ones only."""
     for g1 in range(0, 5):
         for g2 in range(0, 5):
-            s = ProductSurface.from_genera(g1, g2)
+            s = ProductSurface(g1, g2)
             for w in (Polarization(1, 1), Polarization(4, 1)):
                 for m in range(1, 9):
                     for n in range(-8, 9):
@@ -115,11 +115,11 @@ def _kunneth_reference(stratum):
     """Every Dim field of the ledger, through the reference Kunneth
     convolution on the twists of L and the reference curve cascade on the
     second-factor inverse square."""
-    s = stratum.surface
-    sub = BidegreeBundle.of_type(s, stratum.m, stratum.n)
+    s, m, n, _ = stratum
+    sub = BidegreeBundle.of_type(s, m, n)
     o = BidegreeBundle.structure_sheaf(s)
-    nu1 = 2 * stratum.m + s.curve1.genus - 1
-    h0_2, h1_2 = bundle_h0_h1(CurveLineBundle(s.curve2, -2 * stratum.n))
+    nu1 = 2 * m + s.g1 - 1
+    h0_2, h1_2 = bundle_h0_h1(CurveLineBundle(s.g2, -2 * n))
     return {
         "t_u": bundle_kunneth_h(1, twist(sub, 2)),
         "t_o": bundle_kunneth_h(1, o),
@@ -136,7 +136,7 @@ class TestLedgerKernel:
     def test_every_dim_field_matches_kunneth_reference(self):
         intervals = set()
         for stratum in _kernel_grid():
-            r = component_report(stratum)
+            r = component_report(*stratum)
             got = {name: getattr(r, name) for name in _DIM_QUANTITIES}
             assert got == _kunneth_reference(stratum), stratum
             intervals.update(name for name, d in got.items() if not d.is_exact)
@@ -145,19 +145,19 @@ class TestLedgerKernel:
 
     def test_curve_rule_identities(self):
         for stratum in _kernel_grid():
-            r = component_report(stratum)
-            s, m, n = stratum.surface, stratum.m, stratum.n
-            assert bundle_h0_h1(CurveLineBundle(s.curve1, -2 * m)) == (
+            r = component_report(*stratum)
+            s, m, n, _ = stratum
+            assert bundle_h0_h1(CurveLineBundle(s.g1, -2 * m)) == (
                 Dim.exact(0), Dim.exact(r.nu1)
             )
-            assert h0_h1(s.curve1.genus, -2 * m) == (0, 0, r.nu1, r.nu1)
-            assert r.chi2 == euler_characteristic(CurveLineBundle(s.curve2, -2 * n))
-            assert r.t_o == Dim.exact(sum(s.genera))
+            assert h0_h1(s.g1, -2 * m) == (0, 0, r.nu1, r.nu1)
+            assert r.chi2 == euler_characteristic(CurveLineBundle(s.g2, -2 * n))
+            assert r.t_o == Dim.exact(s.g1 + s.g2)
 
 
 class TestComponentReport:
     def test_genus_two_example(self):
-        r = component_report(split(G22, 3, -2))
+        r = component_report(*split(G22, 3, -2))
         assert r.nu1 == 7
         assert r.margin == 21
         assert r.margin_stated == 15
@@ -166,37 +166,41 @@ class TestComponentReport:
         assert r.codim == Dim.exact(21) and r.equations == Dim.exact(0)
 
     def test_lines_example(self):
-        r = component_report(split(P1P1, 1, -1))
+        r = component_report(*split(P1P1, 1, -1))
         assert r.nu1 == 1
         assert r.margin == 3 == toy_unstable_codim(1, -1)
         assert r.c2 == 2 and r.margin_exceeds_c2
 
     def test_chi_boundary_not_established(self):
-        r = component_report(split(G23, 1, -1))
+        r = component_report(*split(G23, 1, -1))
         assert r.chi2 == 0
         assert not r.margin_established
 
     def test_rejects_m_below_one(self):
         with pytest.raises(PreconditionError):
-            component_report(split(P1P1, 0, 0))
+            component_report(*split(P1P1, 0, 0))
 
     def test_rejects_non_destabilizing_stratum(self):
-        with pytest.raises(PreconditionError):
-            split(P1P1, 1, -2)
+        # checked before m >= 1, so (0, -1) is refused as not destabilizing
+        for m, n in [(1, -2), (0, -1)]:
+            with pytest.raises(PreconditionError, match="destabilizes nothing"):
+                component_report(*split(P1P1, m, n))
+            with pytest.raises(PreconditionError, match="destabilizes nothing"):
+                nonfiltrable_report(*split(P1P1, m, n), 1)
 
     def test_margin_is_codim_minus_equations_when_exact(self):
         for g1, g2 in [(0, 0), (1, 2), (2, 2), (3, 1)]:
-            s = ProductSurface.from_genera(g1, g2)
+            s = ProductSurface(g1, g2)
             for m in range(1, 6):
                 for n in range(-5, 0):
                     if m + n < 0:
                         continue
-                    r = component_report(split(s, m, n))
+                    r = component_report(*split(s, m, n))
                     if r.codim.is_exact and r.equations.is_exact:
                         assert r.margin == r.codim.value - r.equations.value
 
     def test_comp_ii_is_topological(self):
-        r = component_report(split(G23, 2, -1))
+        r = component_report(*split(G23, 2, -1))
         assert r.comp_ii_target == Dim.exact(6)
         assert r.unavoidable_equations == 6
 
@@ -205,13 +209,13 @@ class TestSplitConsistencyOnLines:
     def test_margin_matches_toy_codim_on_diagonal(self):
         # the two formulas agree exactly when n = -m
         for m in range(1, 21):
-            r = component_report(split(P1P1, m, -m))
+            r = component_report(*split(P1P1, m, -m))
             assert r.margin == toy_unstable_codim(m, -m) == 4 * m * m - 1
 
     def test_off_diagonal_counterexample(self):
         # the agreement is a diagonal phenomenon: at (2, -1) the margin is
         # (2m-1)(-2n+1) = 9 while the toy codimension is -4mn-1 = 7
-        r = component_report(split(P1P1, 2, -1))
+        r = component_report(*split(P1P1, 2, -1))
         assert r.margin == 9
         assert toy_unstable_codim(2, -1) == 7
 
@@ -222,7 +226,7 @@ class TestSplitConsistencyOnLines:
     def test_full_grid_agreement_as_stated(self):
         for m in range(1, 21):
             for n in range(-20, 0):
-                r = component_report(split(P1P1, m, n))
+                r = component_report(*split(P1P1, m, n))
                 assert r.margin == toy_unstable_codim(m, n)
 
 
@@ -230,12 +234,12 @@ class TestMarginDominance:
     def test_dominates_stated_formula_for_positive_genus(self):
         for g1 in range(1, 5):
             for g2 in range(0, 5):
-                s = ProductSurface.from_genera(g1, g2)
+                s = ProductSurface(g1, g2)
                 for m in range(1, 16):
                     for n in range(-8, 1):
                         if -2 * n - g2 + 1 <= 0 or m + n < 0:
                             continue
-                        r = component_report(split(s, m, n))
+                        r = component_report(*split(s, m, n))
                         assert r.margin >= r.margin_stated, (g1, g2, m, n)
                         if g1 == 1:
                             assert r.margin == r.margin_stated
@@ -243,7 +247,7 @@ class TestMarginDominance:
     def test_genus_zero_reverses(self):
         # at genus 0 the stated multiplier overcounts: the oracle-backed h1
         # of degree -2m is 2m - 1, below the stated 2m + 1
-        r = component_report(split(P1P1, 1, -1))
+        r = component_report(*split(P1P1, 1, -1))
         assert r.nu1 == 1 < r.nu1_stated == 3
         assert r.margin < r.margin_stated
 
@@ -253,23 +257,23 @@ class TestMarginGrowth:
         # slope in m is 2 (1 - n - g2), positive exactly for n <= -g2
         for g1 in range(0, 5):
             for g2 in range(0, 5):
-                s = ProductSurface.from_genera(g1, g2)
+                s = ProductSurface(g1, g2)
                 for n in range(-6, 1):
                     if -2 * n - g2 + 1 <= 0 or n > -g2:
                         continue
                     gaps = []
                     for m in range(max(1, -n), 101):
-                        r = component_report(split(s, m, n))
+                        r = component_report(*split(s, m, n))
                         gaps.append(r.margin - r.c2)
                     assert all(x < y for x, y in zip(gaps, gaps[1:])), (g1, g2, n)
 
     def test_constant_gap_counterexample(self):
         # chi2 > 0 does not imply growth: at g2 = 2, n = -1 the gap is
         # constant in m (slope 2 (1 - n - g2) = 0)
-        s = ProductSurface.from_genera(1, 2)
+        s = ProductSurface(1, 2)
         gaps = [
-            component_report(split(s, m, -1)).margin
-            - component_report(split(s, m, -1)).c2
+            component_report(*split(s, m, -1)).margin
+            - component_report(*split(s, m, -1)).c2
             for m in range(1, 6)
         ]
         assert len(set(gaps)) == 1
@@ -281,13 +285,13 @@ class TestMarginGrowth:
     def test_growth_on_full_chi_positive_domain_as_stated(self):
         for g1 in range(0, 5):
             for g2 in range(0, 5):
-                s = ProductSurface.from_genera(g1, g2)
+                s = ProductSurface(g1, g2)
                 for n in range(-6, 1):
                     if -2 * n - g2 + 1 <= 0:
                         continue
                     gaps = []
                     for m in range(max(1, -n), 101):
-                        r = component_report(split(s, m, n))
+                        r = component_report(*split(s, m, n))
                         gaps.append(r.margin - r.c2)
                     assert all(x < y for x, y in zip(gaps, gaps[1:])), (g1, g2, n)
 
@@ -296,52 +300,52 @@ class TestNonfiltrable:
     def test_zero_length_degenerates_to_split(self):
         for surface, m, n in [(P1P1, 1, -1), (G22, 3, -2), (G23, 2, -1)]:
             s = split(surface, m, n)
-            assert nonfiltrable_report(s, 0) == component_report(s)
+            assert nonfiltrable_report(*s, 0) == component_report(*s)
 
     def test_genus_two_example(self):
-        r = nonfiltrable_report(split(G22, 3, -2), 4)
+        r = nonfiltrable_report(*split(G22, 3, -2), 4)
         assert r.t_o == Dim.exact(12)
         assert r.c2 == 16
         assert r.margin == 21
         assert r.margin_exceeds_c2
 
     def test_lines_example(self):
-        r = nonfiltrable_report(split(P1P1, 1, -1), 2)
+        r = nonfiltrable_report(*split(P1P1, 1, -1), 2)
         assert r.t_o == Dim.exact(4)
         assert r.c2 == 4
 
     def test_t_u_shifts_by_length_when_h2_vanishes(self):
-        base = component_report(split(G22, 3, -2))
+        base = component_report(*split(G22, 3, -2))
         assert base.comp_i_target == Dim.exact(0)
-        r = nonfiltrable_report(split(G22, 3, -2), 5)
+        r = nonfiltrable_report(*split(G22, 3, -2), 5)
         assert r.t_u == base.t_u + 5
         assert r.t_u_established
 
     def test_t_u_interval_when_h2_uncertain(self):
         # small m on a higher-genus first factor leaves h2 of the square
         # an interval, so the shifted count is only bounded
-        s = ProductSurface.from_genera(4, 2)
-        r = nonfiltrable_report(split(s, 1, -1), 3)
+        s = ProductSurface(4, 2)
+        r = nonfiltrable_report(*split(s, 1, -1), 3)
         assert not r.t_u_established
         assert not r.t_u.is_exact
 
     def test_t_s_shifts_by_length(self):
-        base = component_report(split(G22, 3, -2))
-        r = nonfiltrable_report(split(G22, 3, -2), 4)
+        base = component_report(*split(G22, 3, -2))
+        r = nonfiltrable_report(*split(G22, 3, -2), 4)
         assert r.t_s == base.t_s + 4
 
     def test_pairing_reduction_attached(self):
-        r = nonfiltrable_report(split(G22, 3, -2), 4)
+        r = nonfiltrable_report(*split(G22, 3, -2), 4)
         assert len(r.pairing_reduction.components) == 2
 
     def test_rejects_negative_length(self):
         with pytest.raises(PreconditionError):
-            nonfiltrable_report(split(G22, 3, -2), -1)
+            nonfiltrable_report(*split(G22, 3, -2), -1)
         with pytest.raises(PreconditionError):
-            shift_by_length(component_report(split(G22, 3, -2)), -1)
+            shift_by_length(component_report(*split(G22, 3, -2)), -1)
 
     def test_shift_needs_a_split_ledger(self):
-        shifted = shift_by_length(component_report(split(G23, 2, -1)), 2)
+        shifted = shift_by_length(component_report(*split(G23, 2, -1)), 2)
         with pytest.raises(PreconditionError):
             shift_by_length(shifted, 1)
 
@@ -380,7 +384,7 @@ class TestComparisonReport:
     def test_established_failure_wins_over_not_established(self):
         # (2, -2, l = 0) has an established margin 6 <= c2 = 8; the strata
         # with n = -1 have chi = 0 and stay listed as not established
-        g03 = ProductSurface.from_genera(0, 3)
+        g03 = ProductSurface(0, 3)
         report = homology_comparison_report(g03, W, 8, 6)
         assert report.verdict == "false"
         assert report.min_margin == 6
@@ -428,12 +432,12 @@ class TestComparisonReport:
     def test_verdict_follows_the_stored_strata(self):
         # the minimum margin, verdict and not-established list are read from
         # the strata and c2, so the same strata against a smaller c2 decide anew
-        report = homology_comparison_report(ProductSurface.from_genera(0, 3), W, 8, 6)
+        report = homology_comparison_report(ProductSurface(0, 3), W, 8, 6)
         assert (report.verdict, report.min_margin) == ("false", 6)
-        lower = ComparisonReport(report.surface, W, 5, 6, report.strata, report.excluded)
+        lower = ComparisonReport(5, report.strata, report.excluded)
         assert (lower.verdict, lower.min_margin) == ("not-established", 6)
         assert lower.not_established == report.not_established
-        empty = ComparisonReport(report.surface, W, 8, 6, (), ())
+        empty = ComparisonReport(8, (), ())
         assert (empty.verdict, empty.min_margin, empty.not_established) == ("true", None, ())
 
     def test_vacuously_true_when_no_strata(self):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import modulidim
 import modulidim.oracle as oracle_module
-from modulidim.curves import h0_h1
 from modulidim.dims import Dim
 from modulidim.linalg import dense_rank, sparse_rank
 from modulidim.oracle import (
@@ -26,7 +25,7 @@ from modulidim.oracle import (
 )
 from modulidim.surface import ProductSurface, kunneth_h
 
-P1P1 = ProductSurface.from_genera(0, 0)
+P1P1 = ProductSurface(0, 0)
 
 # Zero and non-unit entries are drawn as often as arbitrary ones, so pivots
 # that do not divide the entries below them come up in most matrices.
@@ -219,11 +218,6 @@ class TestP1Oracle:
             wide = cech_h_p1(k, base.window + 3)
             assert (base.h0, base.h1) == (wide.h0, wide.h1)
 
-    def test_matches_curve_rules(self):
-        for k in range(-20, 21):
-            r = cech_h_p1(k)
-            assert h0_h1(0, k) == (r.h0, r.h0, r.h1, r.h1), k
-
 
 class TestProductOracle:
     @pytest.mark.parametrize(
@@ -259,8 +253,8 @@ class TestProductOracle:
     @given(st.integers(-8, 8), st.integers(-8, 8))
     def test_agrees_with_closed_form_rules(self, a, b):
         r = cech_h_product(a, b)
-        for q, got in zip((0, 1, 2), (r.h0, r.h1, r.h2)):
-            assert kunneth_h(q, P1P1, (a, b)) == Dim.exact(got), (a, b, q)
+        expected = (Dim.exact(r.h0), Dim.exact(r.h1), Dim.exact(r.h2))
+        assert kunneth_h(P1P1, (a, b)) == expected, (a, b)
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmallError):

@@ -10,18 +10,16 @@ import pickle
 import pytest
 
 import modulidim.cli  # noqa: F401  (loads every module that defines a record)
-from modulidim.curves import Curve
 from modulidim.dims import Dim, Record
 from modulidim.kuranishi import (
     ComparisonReport,
     KuranishiReport,
-    SplitStratum,
     StratumOutcome,
     component_report,
 )
 from modulidim.oracle import KoszulExtResult, KoszulModel, P1CechResult, ProductCechResult
 from modulidim.skyscraper import KilledPairingsVerdict, PairingComponent
-from modulidim.surface import Polarization, PreconditionError, ProductSurface, SurfaceTopology
+from modulidim.surface import Polarization, PreconditionError, ProductSurface
 from modulidim.unstable import (
     ConditionVerdict,
     SelectedTwist,
@@ -30,20 +28,19 @@ from modulidim.unstable import (
 )
 from reference import BidegreeBundle, CurveLineBundle, Triviality
 
-_SURFACE = ProductSurface(Curve(0), Curve(2))
+_SURFACE = ProductSurface(0, 2)
 _POLARIZATION = Polarization(2, 1)
-_STRATUM = SplitStratum(_SURFACE, 1, -1, _POLARIZATION)
-_REPORT = component_report(_STRATUM)
+_REPORT = component_report(_SURFACE, 1, -1, _POLARIZATION)
 _OUTCOME = StratumOutcome("standard", _REPORT)
 _FAMILY = UnstableFamilySpec(_SURFACE, (1, 1), (0, 0), (2, 2), 3)
 _CONDITION = ConditionVerdict("c2-bound", "pass", "q = 3")
 _COMPONENT = PairingComponent("h0-pairing", "vanishes")
 
-# the reprs the frozen dataclasses gave these records
-_SURFACE_REPR = "ProductSurface(curve1=Curve(genus=0), curve2=Curve(genus=2))"
+# the `Name(field=value, ...)` reprs of these records
+_SURFACE_REPR = "ProductSurface(g1=0, g2=2)"
 _POLARIZATION_REPR = "Polarization(alpha=2, beta=1)"
 _REPORT_REPR = (
-    "KuranishiReport(g1=0, g2=2, m=1, n=-1, alpha=2, beta=1, q_length=0, t_u=Dim(9), "
+    "KuranishiReport(g1=0, g2=2, m=1, n=-1, q_length=0, t_u=Dim(9), "
     "comp_i_target=Dim(0), codim=Dim[1..3], equations=Dim[0..2])"
 )
 _OUTCOME_REPR = f"StratumOutcome(orientation='standard', report={_REPORT_REPR})"
@@ -56,30 +53,23 @@ _GENERIC = "<Triviality.GENERIC: 'generic'>"
 
 SAMPLES = [
     (Dim(1, 2), "Dim[1..2]"),
-    (Curve(2), "Curve(genus=2)"),
     (
-        CurveLineBundle(Curve(1), 0, Triviality.NONTRIVIAL_DEGREE_ZERO),
-        "CurveLineBundle(curve=Curve(genus=1), degree=0, "
+        CurveLineBundle(1, 0, Triviality.NONTRIVIAL_DEGREE_ZERO),
+        "CurveLineBundle(genus=1, degree=0, "
         "triviality=<Triviality.NONTRIVIAL_DEGREE_ZERO: 'nontrivial-degree-zero'>)",
     ),
     (_SURFACE, _SURFACE_REPR),
     (_POLARIZATION, _POLARIZATION_REPR),
-    (SurfaceTopology(4, 1), "SurfaceTopology(b1=4, b2_minus=1)"),
     (
         BidegreeBundle(_SURFACE, (1, -2)),
         f"BidegreeBundle(surface={_SURFACE_REPR}, bidegree=(1, -2), "
         f"factor_triviality=({_GENERIC}, {_GENERIC}))",
     ),
-    (
-        _STRATUM,
-        f"SplitStratum(surface={_SURFACE_REPR}, m=1, n=-1, polarization={_POLARIZATION_REPR})",
-    ),
     (_REPORT, _REPORT_REPR),
     (_OUTCOME, _OUTCOME_REPR),
     (
-        ComparisonReport(_SURFACE, _POLARIZATION, 6, 2, (_OUTCOME,), ((0, 0, 0),)),
-        f"ComparisonReport(surface={_SURFACE_REPR}, polarization={_POLARIZATION_REPR}, "
-        f"c2=6, bound=2, strata=({_OUTCOME_REPR},), excluded=((0, 0, 0),))",
+        ComparisonReport(6, (_OUTCOME,), ((0, 0, 0),)),
+        f"ComparisonReport(c2=6, strata=({_OUTCOME_REPR},), excluded=((0, 0, 0),))",
     ),
     (_FAMILY, _FAMILY_REPR),
     (_CONDITION, _CONDITION_REPR),
@@ -164,10 +154,11 @@ def test_bad_calls_raise_type_error(record, _repr):
 CHECKED = [
     (Dim, {"lower": 1, "upper": 2}, {"lower": -1}, ValueError),
     (Dim, {"lower": 1, "upper": 2}, {"upper": 0}, ValueError),
-    (Curve, {"genus": 2}, {"genus": -1}, ValueError),
+    (ProductSurface, {"g1": 0, "g2": 2}, {"g1": -1}, ValueError),
+    (ProductSurface, {"g1": 0, "g2": 2}, {"g2": -1}, ValueError),
     (
         CurveLineBundle,
-        {"curve": Curve(1), "degree": 0, "triviality": Triviality.TRIVIAL},
+        {"genus": 1, "degree": 0, "triviality": Triviality.TRIVIAL},
         {"degree": 1},
         ValueError,
     ),
@@ -178,12 +169,6 @@ CHECKED = [
          "factor_triviality": (Triviality.TRIVIAL, Triviality.TRIVIAL)},
         {"bidegree": (0, 1)},
         ValueError,
-    ),
-    (
-        SplitStratum,
-        {"surface": _SURFACE, "m": 1, "n": -1, "polarization": _POLARIZATION},
-        {"n": -3},
-        PreconditionError,
     ),
     (
         UnstableFamilySpec,

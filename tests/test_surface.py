@@ -3,22 +3,19 @@ import pytest
 from modulidim.dims import Dim
 from modulidim.surface import (
     Polarization,
-    PreconditionError,
     ProductSurface,
-    SurfaceTopology,
     c2_of_extension,
     degree_wrt,
     intersection,
     is_destabilizing,
     kunneth_h,
     moduli_real_dimension,
-    surface_topology,
 )
 from reference import BidegreeBundle, Triviality, bundle_kunneth_h, twist
 
-P1P1 = ProductSurface.from_genera(0, 0)
-G22 = ProductSurface.from_genera(2, 2)
-G23 = ProductSurface.from_genera(2, 3)
+P1P1 = ProductSurface(0, 0)
+G22 = ProductSurface(2, 2)
+G23 = ProductSurface(2, 3)
 
 
 class TestKunneth:
@@ -26,8 +23,8 @@ class TestKunneth:
         # on the lines degree 0 is above the canonical degree: generic and
         # trivial agree
         o = BidegreeBundle.structure_sheaf(P1P1)
+        assert kunneth_h(P1P1, (0, 0)) == (Dim.exact(1), Dim.exact(0), Dim.exact(0))
         for q, expected in enumerate((1, 0, 0)):
-            assert kunneth_h(q, P1P1, (0, 0)) == Dim.exact(expected)
             assert bundle_kunneth_h(q, o) == Dim.exact(expected)
 
     def test_structure_sheaf_positive_genus(self):
@@ -35,42 +32,32 @@ class TestKunneth:
         assert bundle_kunneth_h(1, o) == Dim.exact(5)
         assert bundle_kunneth_h(2, o) == Dim.exact(6)
         # the generic bundle of bidegree (0, 0) leaves only bounds
-        assert kunneth_h(2, G23, (0, 0)) == Dim(2, 6)
+        assert kunneth_h(G23, (0, 0))[2] == Dim(2, 6)
 
     def test_top_degree_is_product_of_h1s(self):
         # for a mixed bidegree the only contribution at q=2 is h1 x h1
         h1a = 2 - 1 + 4  # degree -4 on genus 2
         h1b = 0  # degree 6 > 2g-2
-        assert kunneth_h(2, G22, (-4, 6)) == Dim.exact(h1a * h1b)
-        assert kunneth_h(2, G22, (-4, -6)) == Dim.exact(5 * 7)
-
-    def test_rejects_bad_degree(self):
-        for q in (-1, 3):
-            with pytest.raises(PreconditionError):
-                kunneth_h(q, P1P1, (0, 0))
-            with pytest.raises(PreconditionError):
-                bundle_kunneth_h(q, BidegreeBundle.structure_sheaf(P1P1))
+        assert kunneth_h(G22, (-4, 6))[2] == Dim.exact(h1a * h1b)
+        assert kunneth_h(G22, (-4, -6))[2] == Dim.exact(5 * 7)
 
     def test_factor_symmetry(self):
         for g1, g2 in [(0, 0), (0, 2), (2, 3)]:
-            s = ProductSurface.from_genera(g1, g2)
-            sw = ProductSurface.from_genera(g2, g1)
+            s = ProductSurface(g1, g2)
+            sw = ProductSurface(g2, g1)
             for a in range(-4, 5):
                 for b in range(-4, 5):
-                    for q in (0, 1, 2):
-                        assert kunneth_h(q, s, (a, b)) == kunneth_h(q, sw, (b, a)), (
-                            g1, g2, a, b, q
-                        )
+                    assert kunneth_h(s, (a, b)) == kunneth_h(sw, (b, a)), (g1, g2, a, b)
 
     def test_chi_multiplicativity(self):
         for g1, g2 in [(0, 0), (1, 2), (3, 3)]:
-            s = ProductSurface.from_genera(g1, g2)
+            s = ProductSurface(g1, g2)
             for a in range(-4, 5):
                 for b in range(-4, 5):
-                    hs = [kunneth_h(q, s, (a, b)) for q in (0, 1, 2)]
-                    assert hs == [
+                    hs = kunneth_h(s, (a, b))
+                    assert hs == tuple(
                         bundle_kunneth_h(q, BidegreeBundle.of_type(s, a, b)) for q in (0, 1, 2)
-                    ], (g1, g2, a, b)
+                    ), (g1, g2, a, b)
                     if all(h.is_exact for h in hs):
                         total = hs[0].value - hs[1].value + hs[2].value
                         chi1 = a - g1 + 1
@@ -144,30 +131,31 @@ class TestChernAndTopology:
         assert c2_of_extension((0, 0), (0, 0), 7) == 7
 
     def test_surface_topology(self):
-        assert surface_topology(P1P1) == SurfaceTopology(b1=0, b2_minus=1)
-        assert surface_topology(G23) == SurfaceTopology(b1=10, b2_minus=13)
-        assert surface_topology(ProductSurface.from_genera(1, 1)) == SurfaceTopology(
-            b1=4, b2_minus=3
-        )
+        # at c2 = 0 the dimension is -3 (1 - b1 + b2_minus): (b1, b2_minus)
+        # is (0, 1) on the lines, (10, 13) at genera (2, 3), (4, 3) at (1, 1)
+        assert moduli_real_dimension(0, P1P1) == -3 * (1 - 0 + 1)
+        assert moduli_real_dimension(0, G23) == -3 * (1 - 10 + 13)
+        assert moduli_real_dimension(0, ProductSurface(1, 1)) == -3 * (1 - 4 + 3)
 
     def test_topology_against_betti_convolution(self):
         # independent check: convolve the curve Betti vectors (1, 2g, 1)
         # and split b2 by the Hodge numbers h^{2,0} = h^{0,2} = g1 g2
         for g1 in range(0, 5):
             for g2 in range(0, 5):
-                t = surface_topology(ProductSurface.from_genera(g1, g2))
                 betti1 = [1, 2 * g1, 1]
                 betti2 = [1, 2 * g2, 1]
                 b1 = betti1[0] * betti2[1] + betti1[1] * betti2[0]
                 b2 = sum(betti1[i] * betti2[2 - i] for i in range(3))
                 b2_plus = 2 * g1 * g2 + 1
-                assert t.b1 == b1
-                assert t.b2_minus == b2 - b2_plus
+                for c2 in (0, 1, 7):
+                    assert moduli_real_dimension(c2, ProductSurface(g1, g2)) == (
+                        8 * c2 - 3 * (1 - b1 + (b2 - b2_plus))
+                    ), (g1, g2, c2)
 
     def test_moduli_real_dimension(self):
-        assert moduli_real_dimension(2, surface_topology(P1P1)) == 10
-        assert moduli_real_dimension(12, surface_topology(G22)) == 90
-        assert moduli_real_dimension(0, surface_topology(P1P1)) == -6
+        assert moduli_real_dimension(2, P1P1) == 10
+        assert moduli_real_dimension(12, G22) == 90
+        assert moduli_real_dimension(0, P1P1) == -6
 
 
 class TestTwist:

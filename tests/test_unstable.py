@@ -8,8 +8,8 @@ from modulidim.cli import main
 from modulidim.surface import PreconditionError, ProductSurface, intersection
 from modulidim.unstable import UnstableFamilySpec, select_twist, validate
 
-P1P1 = ProductSurface.from_genera(0, 0)
-G22 = ProductSurface.from_genera(2, 2)
+P1P1 = ProductSurface(0, 0)
+G22 = ProductSurface(2, 2)
 
 
 def family(surface, ample, det, sub, c2):
@@ -22,7 +22,7 @@ def statuses(verdict):
 
 def report(f):
     """The ``report unstable`` document for one family."""
-    g1, g2 = f.surface.genera
+    g1, g2 = f.surface.g1, f.surface.g2
     argv = ["report", "unstable", f"--g1={g1}", f"--g2={g2}", f"--c2={f.c2}"]
     argv += [f"--{flag}={a},{b}" for flag, (a, b) in (("H", f.ample), ("R", f.det), ("L", f.sub))]
     out = io.StringIO()
@@ -132,7 +132,7 @@ class TestDimLowerBound:
     def test_formula_over_grid(self):
         checked = 0
         for g in range(0, 3):
-            surface = ProductSurface.from_genera(g, g)
+            surface = ProductSurface(g, g)
             for l1 in range(1, 5):
                 for l2 in range(1, 5):
                     sub = (l1, l2)
@@ -171,7 +171,7 @@ class TestSelectTwist:
 
     def test_bound_met_over_grid(self):
         for g in range(0, 5):
-            surface = ProductSurface.from_genera(g, g)
+            surface = ProductSurface(g, g)
             for h in [(1, 1), (2, 1), (1, 3)]:
                 for det in [(0, 0), (2, -1), (-3, 4)]:
                     for c2 in (-5, 0, 7):
@@ -194,7 +194,7 @@ class TestSelectTwist:
             return validate(candidate).passed
 
         for g in (0, 2):
-            surface = ProductSurface.from_genera(g, g)
+            surface = ProductSurface(g, g)
             for det in [(0, 0), (2, 0), (-1, 3)]:
                 for c2 in (-3, 0, 4):
                     for a in (1, 8, 20):
