@@ -5,9 +5,8 @@ The package computes, over exact integer arithmetic only:
 * cohomology dimensions of line bundles on curves and on products of two
   Pic-independent curves (:mod:`modulidim.curves`, :mod:`modulidim.surface`),
 * per-component deformation ledgers around split and nonfiltrable unstable
-  bundles, with codimension-margin verdicts (:mod:`modulidim.kuranishi`),
-* Ext dimensions against point-supported quotients and the pairings they
-  kill (:mod:`modulidim.skyscraper`),
+  bundles, with codimension-margin verdicts and the pairings that the
+  point-supported directions kill (:mod:`modulidim.kuranishi`),
 * dimension lower bounds for families consisting only of unstable bundles
   (:mod:`modulidim.unstable`),
 * independent brute-force oracles validating the closed forms at desk
@@ -30,14 +29,9 @@ from .kuranishi import (
     toy_unstable_codim,
 )
 from .oracle import (
-    KoszulModel,
     cech_h_p1,
     cech_h_product,
     koszul_ext,
-)
-from .skyscraper import (
-    ext1_FF_decomposition,
-    killed_pairings_check,
 )
 from .surface import (
     Polarization,
@@ -52,7 +46,6 @@ from .surface import (
 )
 from .unstable import (
     SelectedTwist,
-    UnstableFamilySpec,
     ValidationVerdict,
     select_twist,
     validate,
@@ -64,13 +57,11 @@ __all__ = [
     "ComparisonReport",
     "Dim",
     "IndeterminateDimensionError",
-    "KoszulModel",
     "KuranishiReport",
     "Polarization",
     "PreconditionError",
     "ProductSurface",
     "SelectedTwist",
-    "UnstableFamilySpec",
     "ValidationVerdict",
     "c2_of_extension",
     "canonical_degree",
@@ -78,12 +69,10 @@ __all__ = [
     "cech_h_product",
     "component_report",
     "degree_wrt",
-    "ext1_FF_decomposition",
     "h0_h1",
     "homology_comparison_report",
     "intersection",
     "is_destabilizing",
-    "killed_pairings_check",
     "koszul_ext",
     "kunneth_h",
     "moduli_real_dimension",

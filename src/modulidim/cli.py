@@ -47,7 +47,6 @@ from .kuranishi import (
 )
 from .oracle import (
     KoszulAssertionError,
-    KoszulModel,
     StabilizationError,
     cech_h_p1,
     cech_h_product,
@@ -63,7 +62,7 @@ from .surface import (
     kunneth_h,
     moduli_real_dimension,
 )
-from .unstable import UnstableFamilySpec, select_twist, validate
+from .unstable import select_twist, validate
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -111,6 +110,7 @@ def _kuranishi_doc(args) -> tuple[dict, int]:
     surface = ProductSurface(args.g1, args.g2)
     w = Polarization(args.alpha, args.beta)
     report = nonfiltrable_report(surface, args.m, args.n, w, args.l)
+    components, assumptions = report.pairing_reduction
     doc = {
         "command": f"report {args.report_kind}",
         "inputs": {
@@ -132,11 +132,8 @@ def _kuranishi_doc(args) -> tuple[dict, int]:
             "t_u_established": report.t_u_established,
         },
         "pairing_reduction": {
-            "components": [
-                {"pairing": c.pairing, "reason": c.reason}
-                for c in report.pairing_reduction.components
-            ],
-            "assumptions": list(report.pairing_reduction.assumptions),
+            "components": [{"pairing": p, "reason": r} for p, r in components],
+            "assumptions": list(assumptions),
         },
         "discrepancy_ledger": discrepancies.ledger(report),
     }
@@ -165,7 +162,7 @@ def _toy_doc(m: int, n: int) -> dict:
 
 
 def _compare_doc(args) -> tuple[dict, int]:
-    report = homology_comparison_report(
+    comparison = homology_comparison_report(
         ProductSurface(args.g1, args.g2),
         Polarization(args.alpha, args.beta),
         args.c2,
@@ -173,20 +170,20 @@ def _compare_doc(args) -> tuple[dict, int]:
     )
     rows = [
         {
-            "m": outcome.m,
-            "n": outcome.n,
-            "l": outcome.q_length,
-            "orientation": outcome.orientation,
-            **_ledger_results(outcome.report, _COMPARE_FIELDS),
-            "margin_exceeds_c2": outcome.report.margin_exceeds_c2,
-            "margin_established": outcome.established,
+            "m": m,
+            "n": n,
+            "l": report.q_length,
+            "orientation": orientation,
+            **_ledger_results(report, _COMPARE_FIELDS),
+            "margin_exceeds_c2": report.margin_exceeds_c2,
+            "margin_established": report.margin_established,
         }
-        for outcome in report.strata
+        for m, n, orientation, report in comparison.strata
     ]
     ledger = []
-    established = [o for o in report.strata if o.established]
+    established = [r for *_, r in comparison.strata if r.margin_established]
     if established:
-        ledger = discrepancies.ledger(min(established, key=lambda o: o.margin).report)
+        ledger = discrepancies.ledger(min(established, key=lambda r: r.margin))
     doc = {
         "command": "report compare",
         "inputs": {
@@ -199,14 +196,14 @@ def _compare_doc(args) -> tuple[dict, int]:
         },
         "results": {
             "strata": rows,
-            "excluded": list(report.excluded),
-            "not_established": list(report.not_established),
-            "min_margin": _pv(report.min_margin, "chi-derived"),
+            "excluded": list(comparison.excluded),
+            "not_established": list(comparison.not_established),
+            "min_margin": _pv(comparison.min_margin, "chi-derived"),
         },
-        "verdicts": {"margin_exceeds_c2": report.verdict},
+        "verdicts": {"margin_exceeds_c2": comparison.verdict},
         "discrepancy_ledger": ledger,
     }
-    return doc, EXIT_NOT_ESTABLISHED if report.verdict == "not-established" else EXIT_OK
+    return doc, EXIT_NOT_ESTABLISHED if comparison.verdict == "not-established" else EXIT_OK
 
 
 def _unstable_doc(args) -> tuple[dict, int]:
@@ -229,14 +226,13 @@ def _unstable_doc(args) -> tuple[dict, int]:
         if args.L is not None:
             raise PreconditionError("--select-t chooses L itself and takes no --L")
         selected = select_twist(surface, args.H, args.R, args.c2, args.a)
-        family = selected.family
         points = selected.q_length
         h2 = intersection(args.H, args.H)
         hr = intersection(args.H, args.R)
         doc["inputs"]["a"] = args.a
         doc["results"] = {
             "t": _pv(selected.t, "closed-form"),
-            "L": list(family.sub),
+            "L": list(selected.sub),
             "q_length": _pv(points, "closed-form"),
             "dim_lower_bound": _pv(2 * points, "closed-form"),
             "target": _pv(2 * args.a, "closed-form"),
@@ -251,8 +247,7 @@ def _unstable_doc(args) -> tuple[dict, int]:
         raise PreconditionError("--a is the target of --select-t and requires it")
     if args.L is None:
         raise PreconditionError("report unstable requires --L (or --select-t with --a)")
-    family = UnstableFamilySpec(surface, args.H, args.R, args.L, args.c2)
-    verdict = validate(family)
+    verdict = validate(surface, args.H, args.R, args.L, args.c2)
     doc["inputs"]["L"] = list(args.L)
     doc["conditions"] = [
         {"name": c.name, "status": c.status, "detail": c.detail}
@@ -299,7 +294,7 @@ def _oracle_product_doc(args) -> tuple[dict, int]:
 
 
 def _oracle_koszul_doc(args) -> tuple[dict, int]:
-    r = koszul_ext(KoszulModel(args.a, args.b))
+    r = koszul_ext(args.a, args.b)
     return {
         "command": "oracle koszul",
         "inputs": {"a": args.a, "b": args.b},

@@ -5,8 +5,9 @@ auditable. Three quantities circulate with closed forms that disagree with
 what exact computation gives; every report touching one of them carries a
 ledger entry showing the stated form, the form actually used, the two
 values for the inputs at hand, and the relation that keeps the original
-conclusions intact. Used values are read from the report that computes
-them; only the stated forms, which no report carries, are evaluated here.
+conclusions intact. Used values, and the stated ``nu1`` and margin, are
+read from the report that computes them; the stated ``c2`` and
+twist-inequality forms are evaluated here.
 """
 
 from __future__ import annotations

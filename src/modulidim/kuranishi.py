@@ -19,14 +19,13 @@ checks.
 Nonfiltrable bundles (extensions of a rank-1 torsion-free sheaf with
 point-supported cokernel of length ``l``) reduce to the split case: the
 point-supported directions are killed under the pairing
-(:func:`modulidim.skyscraper.killed_pairings_check`), the margin is
-unchanged, and only the tangent dimensions and ``c2`` shift by ``l``.
+(:attr:`KuranishiReport.pairing_reduction`), the margin is unchanged, and
+only the tangent dimensions and ``c2`` shift by ``l``.
 """
 
 from __future__ import annotations
 
 from .dims import Dim, Record
-from .skyscraper import KilledPairingsVerdict, ext1_FF_decomposition, killed_pairings_check
 from .surface import (
     Polarization,
     PreconditionError,
@@ -35,6 +34,26 @@ from .surface import (
     degree_wrt,
     is_destabilizing,
     kunneth_h,
+)
+
+
+# The two pairings of the obstruction map that involve the point-supported
+# directions, each with why it vanishes, and the assumptions both need.
+_KILLED_PAIRINGS = (
+    (
+        "Hom(L, Q) x H1(O) -> Ext2(L, F)",
+        "the map factors through Ext1(L, Q), which vanishes: the sheaf-level "
+        "ext of a locally free source into a point-supported target is zero, "
+        "and sections of a point-supported sheaf have no higher cohomology",
+    ),
+    (
+        "Ext1(L, F) x Hom(F, Q) -> Ext2(L, F)",
+        "the map factors through Ext1(L, Q) = 0 for the same two reasons",
+    ),
+)
+_PAIRING_ASSUMPTIONS = (
+    "each support point of Q is a local complete intersection",
+    "Ext1(M, F) and Ext2(M, F) vanish in the large-twist regime",
 )
 
 
@@ -73,8 +92,7 @@ class KuranishiReport(Record):
     @property
     def t_o(self) -> Dim:
         """Ext^1(F, F): ``2l`` point-supported directions plus ``h^1(O) = g1 + g2``."""
-        gamma_part, h1_part = ext1_FF_decomposition(self.q_length, self.g1 + self.g2)
-        return Dim.exact(gamma_part + h1_part)
+        return Dim.exact(2 * self.q_length + self.g1 + self.g2)
 
     @property
     def comp_ii_target(self) -> Dim:
@@ -122,39 +140,21 @@ class KuranishiReport(Record):
         return self.q_length == 0 or self.comp_i_target.upper == 0
 
     @property
-    def pairing_reduction(self) -> KilledPairingsVerdict:
-        return killed_pairings_check(self.q_length)
-
-
-class StratumOutcome(Record):
-    """One stratum of an aggregate comparison report. With ``orientation``
-    ``"swapped"`` the report exchanges the factors: its (m, n) is the stratum's (n, m)."""
-
-    __slots__ = ("orientation", "report")
-
-    @property
-    def m(self) -> int:
-        return self.report.m if self.orientation == "standard" else self.report.n
-
-    @property
-    def n(self) -> int:
-        return self.report.n if self.orientation == "standard" else self.report.m
-
-    @property
-    def q_length(self) -> int:
-        return self.report.q_length
-
-    @property
-    def margin(self) -> int:
-        return self.report.margin
-
-    @property
-    def established(self) -> bool:
-        return self.report.margin_established
+    def pairing_reduction(self) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
+        """Why the obstruction pairing ignores the point-supported directions:
+        the ``(pairing, reason)`` components that vanish, and the assumptions
+        they need. Both are empty at ``l = 0``, where there are no such directions."""
+        if self.q_length == 0:
+            return (), ()
+        return _KILLED_PAIRINGS, _PAIRING_ASSUMPTIONS
 
 
 class ComparisonReport(Record):
     """Aggregate margin check over all enumerated unstable strata.
+
+    Each stratum is an ``(m, n, orientation, report)`` tuple. With
+    ``orientation`` ``"swapped"`` the report exchanges the factors: its
+    ``(m, n)`` is the stratum's ``(n, m)``.
 
     Verdicts, in order of precedence: ``"false"`` when some established
     margin fails to exceed ``c2``, which decides the question whatever the
@@ -170,28 +170,28 @@ class ComparisonReport(Record):
     def not_established(self) -> tuple[dict, ...]:
         return tuple(
             {
-                "m": o.m,
-                "n": o.n,
-                "l": o.q_length,
+                "m": m,
+                "n": n,
+                "l": report.q_length,
                 "reason": (
                     "the Euler characteristic entering the margin is "
-                    f"not positive (chi = {o.report.chi2} after orientation)"
+                    f"not positive (chi = {report.chi2} after orientation)"
                 ),
             }
-            for o in self.strata
-            if not o.established
+            for m, n, _, report in self.strata
+            if not report.margin_established
         )
 
     @property
     def min_margin(self) -> int | None:
-        return min((o.margin for o in self.strata if o.established), default=None)
+        return min((r.margin for *_, r in self.strata if r.margin_established), default=None)
 
     @property
     def verdict(self) -> str:
         min_margin = self.min_margin
         if min_margin is not None and min_margin <= self.c2:
             return "false"
-        if any(not o.established for o in self.strata):
+        if any(not r.margin_established for *_, r in self.strata):
             return "not-established"
         return "true"
 
@@ -339,11 +339,11 @@ def homology_comparison_report(
     # the swapped strata share one surface and polarization, factors exchanged
     swapped_surface = ProductSurface(surface.g2, surface.g1)
     swapped_w = Polarization(w.beta, w.alpha)
-    outcomes = []
+    strata = []
     for m, n, l, orientation in mixed:
         if orientation == "standard":
             report = nonfiltrable_report(surface, m, n, w, l)
         else:
             report = nonfiltrable_report(swapped_surface, n, m, swapped_w, l)
-        outcomes.append(StratumOutcome(orientation, report))
-    return ComparisonReport(c2=c2, strata=tuple(outcomes), excluded=tuple(excluded))
+        strata.append((m, n, orientation, report))
+    return ComparisonReport(c2=c2, strata=tuple(strata), excluded=tuple(excluded))

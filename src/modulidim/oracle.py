@@ -41,25 +41,11 @@ class KoszulAssertionError(RuntimeError):
 
 
 class P1CechResult(Record):
-    __slots__ = ("k", "h0", "h1", "window")
+    __slots__ = ("h0", "h1", "window")
 
 
 class ProductCechResult(Record):
-    __slots__ = ("a", "b", "h0", "h1", "h2", "window")
-
-
-class KoszulModel(Record):
-    """The quotient ``O / (x^a, y^b)``, a complete intersection of length ab."""
-
-    __slots__ = ("a", "b")
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("exponents must be >= 1")
-
-    @property
-    def length(self) -> int:
-        return self.a * self.b
+    __slots__ = ("h0", "h1", "h2", "window")
 
 
 class KoszulExtResult(Record):
@@ -106,7 +92,7 @@ def cech_h_p1(k: int, N: int | None = None) -> P1CechResult:
     h = _p1_dims(k, N)
     if h != _p1_dims(k, N + 1):
         raise StabilizationError(f"degree {k} not stabilized at window {N}")
-    return P1CechResult(k=k, h0=h[0], h1=h[1], window=N)
+    return P1CechResult(h0=h[0], h1=h[1], window=N)
 
 
 def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
@@ -173,17 +159,16 @@ def cech_h_product(a: int, b: int, N: int | None = None) -> ProductCechResult:
     h = _product_dims(a, b, N)
     if h != _product_dims(a, b, N + 1):
         raise StabilizationError(f"bidegree ({a}, {b}) not stabilized at window {N}")
-    return ProductCechResult(a=a, b=b, h0=h[0], h1=h[1], h2=h[2], window=N)
+    return ProductCechResult(h0=h[0], h1=h[1], h2=h[2], window=N)
 
 
-def _multiplication_matrix(model: KoszulModel, dx: int, dy: int) -> list[dict[int, int]]:
+def _multiplication_matrix(a: int, b: int, dx: int, dy: int) -> list[dict[int, int]]:
     """Multiplication by ``x^dx y^dy`` on ``O / (x^a, y^b)``, as sparse columns.
 
     One column ``{row: value}`` per basis monomial ``x^i y^j`` with ``i < a``
     and ``j < b``, whose index is ``i * b + j``; a product whose exponents
     leave the box is zero in the quotient and gives an empty column.
     """
-    a, b = model.a, model.b
     return [
         {(i + dx) * b + j + dy: 1} if 0 <= i + dx < a and 0 <= j + dy < b else {}
         for i in range(a)
@@ -191,8 +176,10 @@ def _multiplication_matrix(model: KoszulModel, dx: int, dy: int) -> list[dict[in
     ]
 
 
-def koszul_ext(model: KoszulModel) -> KoszulExtResult:
-    """Self-Ext dimensions of the quotient via its Koszul resolution.
+def koszul_ext(a: int, b: int) -> KoszulExtResult:
+    """Self-Ext dimensions of the quotient ``O / (x^a, y^b)``, a complete
+    intersection of length ``ab`` (both exponents ``>= 1``), via its Koszul
+    resolution.
 
     Applying the hom functor into the quotient to the length-two resolution
     by the generators ``x^a`` and ``y^b`` produces a three-term complex whose
@@ -201,9 +188,11 @@ def koszul_ext(model: KoszulModel) -> KoszulExtResult:
     quotient ring; the cohomology dimensions are then ``(l, 2l, l)`` with
     ``l = ab``. Time and memory are linear in ``l``.
     """
-    l = model.length
-    mx = _multiplication_matrix(model, model.a, 0)
-    my = _multiplication_matrix(model, 0, model.b)
+    if a < 1 or b < 1:
+        raise ValueError("exponents must be >= 1")
+    l = a * b
+    mx = _multiplication_matrix(a, b, a, 0)
+    my = _multiplication_matrix(a, b, 0, b)
     # First differential: v -> (y^b v, -x^a v); second: (u, w) -> x^a u + y^b w.
     d1 = [{**y, **{r + l: -v for r, v in x.items()}} for x, y in zip(mx, my)]
     d2 = mx + my

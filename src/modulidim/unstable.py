@@ -16,17 +16,6 @@ from .dims import Record
 from .surface import Pair, PreconditionError, ProductSurface, intersection, kunneth_h
 
 
-class UnstableFamilySpec(Record):
-    """Input data for one totally unstable family."""
-
-    __slots__ = ("surface", "ample", "det", "sub", "c2")
-
-    def __post_init__(self):
-        a, b = self.ample
-        if a <= 0 or b <= 0:
-            raise PreconditionError(f"the ample class needs positive entries, got {self.ample}")
-
-
 class ConditionVerdict(Record):
     """One named condition; ``status`` is ``"pass"``, ``"fail"`` or ``"undecidable"``."""
 
@@ -45,21 +34,16 @@ class ValidationVerdict(Record):
 
 
 class SelectedTwist(Record):
-    __slots__ = ("t", "family", "q_length")
+    """The twist ``t``, its sub-line-bundle class ``L = t H``, and the point count."""
+
+    __slots__ = ("t", "sub", "q_length")
 
 
-def _vanishing_twist_bidegree(family: UnstableFamilySpec) -> Pair:
-    """Bidegree of ``K + R - 2L``, whose sections must vanish."""
-    r1, r2 = family.det
-    l1, l2 = family.sub
-    return (
-        canonical_degree(family.surface.g1) + r1 - 2 * l1,
-        canonical_degree(family.surface.g2) + r2 - 2 * l2,
-    )
-
-
-def validate(family: UnstableFamilySpec) -> ValidationVerdict:
-    """Check the three admissibility conditions of the family.
+def validate(
+    surface: ProductSurface, ample: Pair, det: Pair, sub: Pair, c2: int
+) -> ValidationVerdict:
+    """Check the three admissibility conditions of the family ``(H, R, L, c2)``,
+    whose ample class ``H`` needs positive entries.
 
     The section-vanishing condition is decided through the factor-degree
     rules: a negative component degree forces vanishing, and two pinned
@@ -67,16 +51,22 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
     undecidable, which is reported rather than passed. The twist is generic,
     so its h0 is the Kunneth ``h^0`` of its bidegree.
     """
-    slope_lhs = 2 * intersection(family.sub, family.ample)
-    slope_rhs = intersection(family.det, family.ample)
+    if ample[0] <= 0 or ample[1] <= 0:
+        raise PreconditionError(f"the ample class needs positive entries, got {ample}")
+    slope_lhs = 2 * intersection(sub, ample)
+    slope_rhs = intersection(det, ample)
     slope = ConditionVerdict(
         name="slope",
         status="pass" if slope_lhs > slope_rhs else "fail",
         detail=f"2 L.H = {slope_lhs} vs R.H = {slope_rhs} (need strict >)",
     )
 
-    twist_bidegree = _vanishing_twist_bidegree(family)
-    h0 = kunneth_h(family.surface, twist_bidegree)[0]
+    # the bidegree of K + R - 2L, whose sections must vanish
+    twist_bidegree = (
+        canonical_degree(surface.g1) + det[0] - 2 * sub[0],
+        canonical_degree(surface.g2) + det[1] - 2 * sub[1],
+    )
+    h0 = kunneth_h(surface, twist_bidegree)[0]
     if h0.upper == 0:
         status, detail = "pass", f"h0 of bidegree {twist_bidegree} is 0"
     elif h0.lower >= 1:
@@ -89,12 +79,12 @@ def validate(family: UnstableFamilySpec) -> ValidationVerdict:
         )
     vanishing = ConditionVerdict(name="section-vanishing", status=status, detail=detail)
 
-    floor = -intersection(family.sub, family.sub) + intersection(family.sub, family.det)
-    points = family.c2 - floor
+    floor = -intersection(sub, sub) + intersection(sub, det)
+    points = c2 - floor
     c2_bound = ConditionVerdict(
         name="c2-bound",
         status="pass" if points >= 0 else "fail",
-        detail=f"c2 = {family.c2} vs floor {floor}",
+        detail=f"c2 = {c2} vs floor {floor}",
     )
 
     conditions = (slope, vanishing, c2_bound)
@@ -133,14 +123,8 @@ def select_twist(
             continue
         if 2 * t * h2 <= hr:
             continue
-        candidate = UnstableFamilySpec(
-            surface=surface,
-            ample=ample,
-            det=det,
-            sub=(t * ample[0], t * ample[1]),
-            c2=c2,
-        )
-        verdict = validate(candidate)
+        sub = (t * ample[0], t * ample[1])
+        verdict = validate(surface, ample, det, sub, c2)
         if verdict.passed:
-            return SelectedTwist(t=t, family=candidate, q_length=verdict.q_length)
+            return SelectedTwist(t=t, sub=sub, q_length=verdict.q_length)
     raise PreconditionError(f"no admissible twist found with t <= {_MAX_T}")

@@ -15,14 +15,14 @@ from modulidim.cli import _toy_doc, main
 from modulidim.curves import h0_h1
 from modulidim.dims import Dim
 from modulidim.kuranishi import component_report, nonfiltrable_report
-from modulidim.oracle import KoszulModel, cech_h_p1, cech_h_product, koszul_ext
+from modulidim.oracle import cech_h_p1, cech_h_product, koszul_ext
 from modulidim.surface import (
     Polarization,
     ProductSurface,
     intersection,
     kunneth_h,
 )
-from modulidim.unstable import UnstableFamilySpec, select_twist, validate
+from modulidim.unstable import select_twist, validate
 from reference import (
     CurveLineBundle,
     Triviality,
@@ -95,7 +95,7 @@ def test_criterion_3_koszul_oracle(capsys):
         for b in range(1, 10):
             if a * b > 9:
                 continue
-            r = koszul_ext(KoszulModel(a, b))
+            r = koszul_ext(a, b)
             l = a * b
             assert (r.e0, r.e1, r.e2) == (l, 2 * l, l)
             assert ext_dims_QQ(l) == (l, 2 * l, l)
@@ -224,8 +224,7 @@ def test_criterion_5_unstable_component_suite(capsys):
                 for det in [(0, 0), (2, -1)]:
                     floor = -intersection(sub, sub) + intersection(sub, det)
                     for c2 in (floor, floor + 3, floor + 11):
-                        s = UnstableFamilySpec(surface, (1, 1), det, sub, c2)
-                        v = validate(s)
+                        v = validate(surface, (1, 1), det, sub, c2)
                         if not v.passed:
                             continue
                         expected = c2 + intersection(sub, sub) - intersection(sub, det)
@@ -240,7 +239,7 @@ def test_criterion_5_unstable_component_suite(capsys):
             for c2 in (-4, 0, 6):
                 for a in (1, 7, 20):
                     res = select_twist(surface, (1, 1), det, c2, a)
-                    v = validate(res.family)
+                    v = validate(surface, (1, 1), det, res.sub, c2)
                     assert v.passed and res.q_length == v.q_length >= a
                     if res.t > 1:
                         t = res.t - 1
@@ -249,9 +248,7 @@ def test_criterion_5_unstable_component_suite(capsys):
                         prev_ok = (
                             t * t * h2 - t * hr >= a - c2
                             and 2 * t * h2 > hr
-                            and validate(
-                                UnstableFamilySpec(surface, (1, 1), det, (t, t), c2)
-                            ).passed
+                            and validate(surface, (1, 1), det, (t, t), c2).passed
                         )
                         assert not prev_ok, "returned t is not minimal"
     elapsed = time.monotonic() - start

@@ -243,9 +243,9 @@ class TestUnstableReport:
         # inequality before it is validated, and t = 2 passes
         calls = []
 
-        def counted(family):
-            calls.append(family.sub)
-            return validate(family)
+        def counted(surface, ample, det, sub, c2):
+            calls.append(sub)
+            return validate(surface, ample, det, sub, c2)
 
         monkeypatch.setattr("modulidim.cli.validate", counted)
         monkeypatch.setattr("modulidim.unstable.validate", counted)
@@ -310,6 +310,24 @@ class TestUnstableReport:
 def test_geometry_refusal_exits_one_with_its_message(capsys, argv, message):
     # the genus and the destabilizing check are made once, where the
     # geometry enters: a surface's genera, a ledger's bidegree
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"modulidim: error: {message}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("report unstable --g1 1 --g2 1 --H 0,1 --R 1,1 --L 1,1 --c2 5",
+     "the ample class needs positive entries, got (0, 1)"),
+    ("report unstable --g1 1 --g2 1 --H=0,1 --R=-1,0 --c2 3 --select-t --a 2",
+     "the ample class needs positive entries, got (0, 1)"),
+    ("report unstable --g1 1 --g2 1 --H 0,1 --R 0,0 --c2 3 --select-t --a 2",
+     "no admissible twist found with t <= 10000"),
+    ("oracle koszul --a 0 --b 2", "exponents must be >= 1"),
+], ids=["unstable-ample", "select-t-ample", "select-t-prefiltered", "koszul-exponent"])
+def test_input_refusal_exits_one_with_its_message(capsys, argv, message):
+    # the ample class is checked by validate, which --select-t reaches only
+    # for a twist that passes the degree and slope pre-filters; the Koszul
+    # exponents are checked before any matrix is built
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == f"modulidim: error: {message}"

@@ -335,8 +335,12 @@ class TestNonfiltrable:
         assert r.t_s == base.t_s + 4
 
     def test_pairing_reduction_attached(self):
-        r = nonfiltrable_report(*split(G22, 3, -2), 4)
-        assert len(r.pairing_reduction.components) == 2
+        components, assumptions = nonfiltrable_report(*split(G22, 3, -2), 4).pairing_reduction
+        assert len(components) == 2
+        assert all(pairing and reason for pairing, reason in components)
+        assert assumptions and all(assumptions)
+        # with no point-supported directions there is nothing to kill
+        assert component_report(*split(G22, 3, -2)).pairing_reduction == ((), ())
 
     def test_rejects_negative_length(self):
         with pytest.raises(PreconditionError):
@@ -355,26 +359,26 @@ class TestComparisonReport:
         report = homology_comparison_report(P1P1, W, 2, 5)
         assert report.verdict == "true"
         assert report.min_margin == 3
-        coords = {(s.m, s.n, s.q_length) for s in report.strata}
+        coords = {(m, n, r.q_length) for m, n, _, r in report.strata}
         assert (1, -1, 0) in coords
         assert not report.not_established
 
     def test_swapped_orientation_present_and_symmetric(self):
         report = homology_comparison_report(P1P1, W, 2, 5)
-        by_coords = {(s.m, s.n): s for s in report.strata}
-        assert by_coords[(-1, 1)].orientation == "swapped"
-        assert by_coords[(-1, 1)].margin == by_coords[(1, -1)].margin == 3
+        by_coords = {(m, n): (orientation, r.margin) for m, n, orientation, r in report.strata}
+        assert by_coords[(-1, 1)] == ("swapped", 3)
+        assert by_coords[(1, -1)] == ("standard", 3)
 
     def test_outcome_coordinates_follow_the_enumeration(self):
-        # an outcome stores its orientation and report; (m, n, l) are read
-        # from the report, exchanged when the factors were swapped
+        # a stratum holds the enumeration's (m, n) and orientation, and a
+        # report of length l whose (m, n) is exchanged when the factors were swapped
         for surface, c2 in ((P1P1, 2), (G23, 7)):
             report = homology_comparison_report(surface, W, c2, 5)
             mixed, _ = enumerate_strata(surface, W, c2, 5)
-            assert [(s.m, s.n, s.q_length, s.orientation) for s in report.strata] == mixed
-            swapped = [s for s in report.strata if s.orientation == "swapped"]
+            assert [(m, n, r.q_length, o) for m, n, o, r in report.strata] == mixed
+            swapped = [(m, n, r) for m, n, o, r in report.strata if o == "swapped"]
             assert swapped
-            assert all((s.report.m, s.report.n) == (s.n, s.m) for s in swapped)
+            assert all((r.m, r.n) == (n, m) for m, n, r in swapped)
 
     def test_not_established_path(self):
         report = homology_comparison_report(G23, W, 2, 5)
@@ -452,7 +456,7 @@ class TestComparisonReport:
         per_w = []
         for w in polarizations:
             report = homology_comparison_report(G22, w, 8, 6)
-            per_w.append({(s.m, s.n): (s.margin, s.report.c2) for s in report.strata})
+            per_w.append({(m, n): (r.margin, r.c2) for m, n, _, r in report.strata})
         shared = set(per_w[0])
         for table in per_w[1:]:
             shared &= set(table)

@@ -15,7 +15,6 @@ from modulidim.dims import Dim
 from modulidim.linalg import dense_rank, sparse_rank
 from modulidim.oracle import (
     KoszulAssertionError,
-    KoszulModel,
     StabilizationError,
     WindowTooSmallError,
     _multiplication_matrix,
@@ -267,44 +266,43 @@ class TestKoszulOracle:
         [(1, 1, (1, 2, 1)), (2, 3, (6, 12, 6)), (1, 5, (5, 10, 5))],
     )
     def test_examples(self, a, b, expected):
-        r = koszul_ext(KoszulModel(a, b))
+        r = koszul_ext(a, b)
         assert (r.e0, r.e1, r.e2) == expected
 
     def test_zero_differentials_across_grid(self):
         for a in range(1, 5):
             for b in range(1, 5):
-                r = koszul_ext(KoszulModel(a, b))
+                r = koszul_ext(a, b)
                 assert (r.e0, r.e1, r.e2) == (a * b, 2 * a * b, a * b)
 
     def test_euler_characteristic_vanishes(self):
         for a in range(1, 5):
             for b in range(1, 5):
-                r = koszul_ext(KoszulModel(a, b))
+                r = koszul_ext(a, b)
                 assert r.e0 - r.e1 + r.e2 == 0
 
     def test_rejects_bad_exponents(self):
-        with pytest.raises(ValueError):
-            KoszulModel(0, 2)
+        for a, b in [(0, 2), (2, 0), (-1, 1)]:
+            with pytest.raises(ValueError, match="exponents must be >= 1"):
+                koszul_ext(a, b)
 
     def test_multiplication_matrices_really_vanish(self):
         # the generators annihilate the quotient ring basis, column by column
-        model = KoszulModel(3, 2)
         for dx, dy in [(3, 0), (0, 2)]:
-            columns = _multiplication_matrix(model, dx, dy)
-            assert len(columns) == model.length
+            columns = _multiplication_matrix(3, 2, dx, dy)
+            assert len(columns) == 6
             assert all(column == {} for column in columns)
         # a non-annihilating monomial produces a genuinely nonzero column
-        assert any(_multiplication_matrix(model, 1, 0))
+        assert any(_multiplication_matrix(3, 2, 1, 0))
 
     def test_multiplication_ranks(self):
         # x^dx y^dy is injective on the monomials it keeps inside the box
         # and kills the rest, so its rank counts the kept monomials
         for a in range(1, 5):
             for b in range(1, 5):
-                model = KoszulModel(a, b)
                 for dx in range(6):
                     for dy in range(6):
-                        rank = sparse_rank(_multiplication_matrix(model, dx, dy))
+                        rank = sparse_rank(_multiplication_matrix(a, b, dx, dy))
                         assert rank == max(0, a - dx) * max(0, b - dy), (a, b, dx, dy)
 
     def test_large_length_runs_in_linear_memory(self):
@@ -343,14 +341,14 @@ def test_out_of_memory_exits_one_with_one_line():
     assert "Traceback" not in proc.stderr
 
 
-def _identity_multiplication(model, dx, dy):
-    return [{i: 1} for i in range(model.length)]
+def _identity_multiplication(a, b, dx, dy):
+    return [{i: 1} for i in range(a * b)]
 
 
 def test_koszul_guard_trips_on_nonzero_differential(monkeypatch):
     monkeypatch.setattr(oracle_module, "_multiplication_matrix", _identity_multiplication)
     with pytest.raises(KoszulAssertionError):
-        koszul_ext(KoszulModel(2, 2))
+        koszul_ext(2, 2)
 
 
 class TestInternalCheckExitCode:

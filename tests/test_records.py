@@ -11,30 +11,16 @@ import pytest
 
 import modulidim.cli  # noqa: F401  (loads every module that defines a record)
 from modulidim.dims import Dim, Record
-from modulidim.kuranishi import (
-    ComparisonReport,
-    KuranishiReport,
-    StratumOutcome,
-    component_report,
-)
-from modulidim.oracle import KoszulExtResult, KoszulModel, P1CechResult, ProductCechResult
-from modulidim.skyscraper import KilledPairingsVerdict, PairingComponent
+from modulidim.kuranishi import ComparisonReport, KuranishiReport, component_report
+from modulidim.oracle import KoszulExtResult, P1CechResult, ProductCechResult, koszul_ext
 from modulidim.surface import Polarization, PreconditionError, ProductSurface
-from modulidim.unstable import (
-    ConditionVerdict,
-    SelectedTwist,
-    UnstableFamilySpec,
-    ValidationVerdict,
-)
+from modulidim.unstable import ConditionVerdict, SelectedTwist, ValidationVerdict, validate
 from reference import BidegreeBundle, CurveLineBundle, Triviality
 
 _SURFACE = ProductSurface(0, 2)
 _POLARIZATION = Polarization(2, 1)
 _REPORT = component_report(_SURFACE, 1, -1, _POLARIZATION)
-_OUTCOME = StratumOutcome("standard", _REPORT)
-_FAMILY = UnstableFamilySpec(_SURFACE, (1, 1), (0, 0), (2, 2), 3)
 _CONDITION = ConditionVerdict("c2-bound", "pass", "q = 3")
-_COMPONENT = PairingComponent("h0-pairing", "vanishes")
 
 # the `Name(field=value, ...)` reprs of these records
 _SURFACE_REPR = "ProductSurface(g1=0, g2=2)"
@@ -43,12 +29,7 @@ _REPORT_REPR = (
     "KuranishiReport(g1=0, g2=2, m=1, n=-1, q_length=0, t_u=Dim(9), "
     "comp_i_target=Dim(0), codim=Dim[1..3], equations=Dim[0..2])"
 )
-_OUTCOME_REPR = f"StratumOutcome(orientation='standard', report={_REPORT_REPR})"
-_FAMILY_REPR = (
-    f"UnstableFamilySpec(surface={_SURFACE_REPR}, ample=(1, 1), det=(0, 0), sub=(2, 2), c2=3)"
-)
 _CONDITION_REPR = "ConditionVerdict(name='c2-bound', status='pass', detail='q = 3')"
-_COMPONENT_REPR = "PairingComponent(pairing='h0-pairing', reason='vanishes')"
 _GENERIC = "<Triviality.GENERIC: 'generic'>"
 
 SAMPLES = [
@@ -66,31 +47,21 @@ SAMPLES = [
         f"factor_triviality=({_GENERIC}, {_GENERIC}))",
     ),
     (_REPORT, _REPORT_REPR),
-    (_OUTCOME, _OUTCOME_REPR),
     (
-        ComparisonReport(6, (_OUTCOME,), ((0, 0, 0),)),
-        f"ComparisonReport(c2=6, strata=({_OUTCOME_REPR},), excluded=((0, 0, 0),))",
+        ComparisonReport(6, ((1, -1, "standard", _REPORT),), ((0, 0, 0),)),
+        f"ComparisonReport(c2=6, strata=((1, -1, 'standard', {_REPORT_REPR}),), "
+        "excluded=((0, 0, 0),))",
     ),
-    (_FAMILY, _FAMILY_REPR),
     (_CONDITION, _CONDITION_REPR),
     (
         ValidationVerdict((_CONDITION,), ("assumed",), 3),
         f"ValidationVerdict(conditions=({_CONDITION_REPR},), "
         "assumptions=('assumed',), q_length=3)",
     ),
-    (SelectedTwist(2, _FAMILY, 3), f"SelectedTwist(t=2, family={_FAMILY_REPR}, q_length=3)"),
-    (P1CechResult(-3, 0, 2, 5), "P1CechResult(k=-3, h0=0, h1=2, window=5)"),
-    (
-        ProductCechResult(2, -2, 0, 3, 0, 4),
-        "ProductCechResult(a=2, b=-2, h0=0, h1=3, h2=0, window=4)",
-    ),
-    (KoszulModel(2, 3), "KoszulModel(a=2, b=3)"),
+    (SelectedTwist(2, (2, 2), 3), "SelectedTwist(t=2, sub=(2, 2), q_length=3)"),
+    (P1CechResult(0, 2, 5), "P1CechResult(h0=0, h1=2, window=5)"),
+    (ProductCechResult(0, 3, 0, 4), "ProductCechResult(h0=0, h1=3, h2=0, window=4)"),
     (KoszulExtResult(6, 12, 6, 6), "KoszulExtResult(e0=6, e1=12, e2=6, length=6)"),
-    (_COMPONENT, _COMPONENT_REPR),
-    (
-        KilledPairingsVerdict((_COMPONENT,), ("assumed",)),
-        f"KilledPairingsVerdict(components=({_COMPONENT_REPR},), assumptions=('assumed',))",
-    ),
 ]
 
 
@@ -149,8 +120,9 @@ def test_bad_calls_raise_type_error(record, _repr):
         pytest.fail(f"{cls.__name__}: {kind} raised no TypeError")
 
 
-# Every record with a check in ``__post_init__``: valid fields, one field
-# replaced by a value the check refuses, and the error it raises.
+# Every record with a check in ``__post_init__``, and every function that
+# takes its inputs as plain values and checks them first: valid arguments,
+# one replaced by a value the check refuses, and the error it raises.
 CHECKED = [
     (Dim, {"lower": 1, "upper": 2}, {"lower": -1}, ValueError),
     (Dim, {"lower": 1, "upper": 2}, {"upper": 0}, ValueError),
@@ -171,25 +143,25 @@ CHECKED = [
         ValueError,
     ),
     (
-        UnstableFamilySpec,
+        validate,
         {"surface": _SURFACE, "ample": (1, 1), "det": (0, 0), "sub": (2, 2), "c2": 3},
         {"ample": (0, 1)},
         PreconditionError,
     ),
-    (KoszulModel, {"a": 2, "b": 3}, {"a": 0}, ValueError),
+    (koszul_ext, {"a": 2, "b": 3}, {"a": 0}, ValueError),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, good, bad, error", CHECKED, ids=[f"{c[0].__name__}-{next(iter(c[2]))}" for c in CHECKED]
+    "make, good, bad, error", CHECKED, ids=[f"{c[0].__name__}-{next(iter(c[2]))}" for c in CHECKED]
 )
-def test_checks_run_by_position_and_by_keyword(cls, good, bad, error):
-    assert cls(*good.values()) == cls(**good)
+def test_checks_run_by_position_and_by_keyword(make, good, bad, error):
+    assert make(*good.values()) == make(**good)
     fields = {**good, **bad}
     with pytest.raises(error):
-        cls(*fields.values())
+        make(*fields.values())
     with pytest.raises(error):
-        cls(**fields)
+        make(**fields)
 
 
 def test_only_records_with_defaults_or_hot_paths_define_init():

@@ -90,30 +90,49 @@ def test_every_traced_function_exists(monkeypatch):
 
 # Runs in a ``python -S`` child, so that no site ``.pth`` file loads modules
 # first, and prints the modules that ``import modulidim.cli`` adds outside
-# the package.
+# the package, then those it adds inside it.
 _IMPORTED_BY_CLI = """
 import sys
 before = set(sys.modules)
 import modulidim.cli
-print(" ".join(sorted(
-    name for name in set(sys.modules) - before if name.split(".")[0] != "modulidim"
-)))
+added = sorted(set(sys.modules) - before)
+print(" ".join(name for name in added if name.split(".")[0] != "modulidim"))
+print(" ".join(name for name in added if name.split(".")[0] == "modulidim"))
 """
 
 
-def test_cli_import_loads_no_heavy_stdlib_module():
-    # each command is a fresh process, so these modules' import time (and,
-    # for dataclasses, each class built through exec) would be paid per command
+@pytest.fixture(scope="module")
+def imported_by_cli() -> tuple[set, set]:
+    """The modules ``import modulidim.cli`` adds outside and inside the package."""
     env = dict(os.environ, PYTHONPATH=str(Path(modulidim.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORTED_BY_CLI],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    outside, inside = proc.stdout.split("\n")[:2]
+    return set(outside.split()), set(inside.split())
+
+
+def test_cli_import_loads_no_heavy_stdlib_module(imported_by_cli):
+    # each command is a fresh process, so these modules' import time (and,
+    # for dataclasses, each class built through exec) would be paid per command
+    added, _ = imported_by_cli
     assert "argparse" in added  # the child did import the command line
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
     assert not heavy & added, sorted(heavy & added)
+
+
+def test_cli_import_loads_every_package_module(imported_by_cli):
+    # bench/tracer.py and tests/test_records.py import modulidim.cli and then
+    # expect every module of the package in sys.modules; a module imported
+    # lazily, or by nothing, would be missing there
+    _, loaded = imported_by_cli
+    package = Path(modulidim.__file__).parent
+    expected = {"modulidim"} | {
+        f"modulidim.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"
+    }
+    assert loaded == expected
 
 
 # Runs in a ``python -O`` or ``-OO`` child from inside ``tests/golden``: every golden

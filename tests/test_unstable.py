@@ -6,25 +6,20 @@ import pytest
 
 from modulidim.cli import main
 from modulidim.surface import PreconditionError, ProductSurface, intersection
-from modulidim.unstable import UnstableFamilySpec, select_twist, validate
+from modulidim.unstable import select_twist, validate
 
 P1P1 = ProductSurface(0, 0)
 G22 = ProductSurface(2, 2)
-
-
-def family(surface, ample, det, sub, c2):
-    return UnstableFamilySpec(surface, ample, det, sub, c2)
 
 
 def statuses(verdict):
     return {c.name: c.status for c in verdict.conditions}
 
 
-def report(f):
+def report(surface, ample, det, sub, c2):
     """The ``report unstable`` document for one family."""
-    g1, g2 = f.surface.g1, f.surface.g2
-    argv = ["report", "unstable", f"--g1={g1}", f"--g2={g2}", f"--c2={f.c2}"]
-    argv += [f"--{flag}={a},{b}" for flag, (a, b) in (("H", f.ample), ("R", f.det), ("L", f.sub))]
+    argv = ["report", "unstable", f"--g1={surface.g1}", f"--g2={surface.g2}", f"--c2={c2}"]
+    argv += [f"--{flag}={a},{b}" for flag, (a, b) in (("H", ample), ("R", det), ("L", sub))]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) in (0, 3)
@@ -33,79 +28,80 @@ def report(f):
 
 class TestValidate:
     def test_passing_example_on_lines(self):
-        v = validate(family(P1P1, (1, 1), (0, 0), (2, 2), 8))
+        v = validate(P1P1, (1, 1), (0, 0), (2, 2), 8)
         assert v.passed
         assert [c.status for c in v.conditions] == ["pass", "pass", "pass"]
 
     def test_slope_boundary_fails(self):
-        v = validate(family(P1P1, (1, 1), (0, 0), (0, 0), 8))
+        v = validate(P1P1, (1, 1), (0, 0), (0, 0), 8)
         assert not v.passed
         assert [c.status for c in v.conditions] == ["fail", "pass", "pass"]
 
     def test_passing_example_genus_two(self):
-        v = validate(family(G22, (1, 1), (1, 1), (3, 3), 0))
+        v = validate(G22, (1, 1), (1, 1), (3, 3), 0)
         assert v.passed
 
     def test_c2_floor_fails(self):
-        v = validate(family(P1P1, (1, 1), (0, 0), (2, 2), -9))
+        v = validate(P1P1, (1, 1), (0, 0), (2, 2), -9)
         assert not v.passed
         assert statuses(v)["c2-bound"] == "fail"
 
     def test_vanishing_fail_when_sections_pinned(self):
         # K + R - 2L of bidegree (2, 2) on the lines has h0 = 9
-        v = validate(family(P1P1, (1, 1), (8, 8), (2, 2), 100))
+        v = validate(P1P1, (1, 1), (8, 8), (2, 2), 100)
         assert statuses(v)["section-vanishing"] == "fail"
 
     def test_vanishing_fail_when_lower_bound_positive(self):
         # K + R - 2L of bidegree (2, 2) on genus (2, 2): middle range, but
         # the Euler characteristic already forces a section on each factor
-        v = validate(family(G22, (1, 1), (4, 4), (2, 2), 100))
+        v = validate(G22, (1, 1), (4, 4), (2, 2), 100)
         assert statuses(v)["section-vanishing"] == "fail"
 
     def test_vanishing_undecidable_in_middle_range(self):
         # K + R - 2L of bidegree (1, 1) on genus (2, 2) is middle range
         # with section count bounded to [0..2] per factor
-        v = validate(family(G22, (1, 1), (3, 3), (2, 2), 100))
+        v = validate(G22, (1, 1), (3, 3), (2, 2), 100)
         assert statuses(v)["section-vanishing"] == "undecidable"
         assert not v.passed
 
     def test_assumptions_recorded(self):
-        v = validate(family(P1P1, (1, 1), (0, 0), (2, 2), 8))
+        v = validate(P1P1, (1, 1), (0, 0), (2, 2), 8)
         assert any("Cayley-Bacharach" in a for a in v.assumptions)
 
     def test_nonample_rejected(self):
-        with pytest.raises(PreconditionError):
-            family(P1P1, (0, 1), (0, 0), (2, 2), 8)
+        for ample in [(0, 1), (1, 0), (-1, 2)]:
+            with pytest.raises(PreconditionError, match="ample class needs positive entries"):
+                validate(P1P1, ample, (0, 0), (2, 2), 8)
 
 
 class TestQLength:
     def test_examples(self):
         for f, points in [
-            (family(P1P1, (1, 1), (0, 0), (2, 2), 8), 16),
-            (family(G22, (1, 1), (1, 1), (3, 3), 0), 12),
+            ((P1P1, (1, 1), (0, 0), (2, 2), 8), 16),
+            ((G22, (1, 1), (1, 1), (3, 3), 0), 12),
         ]:
-            v = validate(f)
+            v = validate(*f)
             assert v.passed and v.q_length == points
 
     def test_boundary_is_zero(self):
-        s = family(P1P1, (1, 1), (0, 0), (2, 2), -8)
-        v = validate(s)
+        s = (P1P1, (1, 1), (0, 0), (2, 2), -8)
+        v = validate(*s)
         assert v.passed and v.q_length == 0
-        assert report(s)["results"]["dim_lower_bound"]["value"] == 0
+        assert report(*s)["results"]["dim_lower_bound"]["value"] == 0
 
     def test_requires_valid_spec(self):
         # the verdict still counts the points, but a family that fails a
         # condition gets no bounds in the report
-        s = family(P1P1, (1, 1), (0, 0), (0, 0), 8)
-        v = validate(s)
+        s = (P1P1, (1, 1), (0, 0), (0, 0), 8)
+        v = validate(*s)
         assert not v.passed and statuses(v)["slope"] == "fail"
         assert v.q_length == 8
-        doc = report(s)
+        doc = report(*s)
         assert doc["results"] == {} and doc["verdicts"]["family_admissible"] == "fail"
 
     def test_monotone_in_c2_with_unit_slope(self):
         verdicts = [
-            validate(family(P1P1, (1, 1), (0, 0), (3, 3), c2)) for c2 in range(-15, 10)
+            validate(P1P1, (1, 1), (0, 0), (3, 3), c2) for c2 in range(-15, 10)
         ]
         assert all(v.passed for v in verdicts)
         values = [v.q_length for v in verdicts]
@@ -118,7 +114,7 @@ class TestQLength:
                 sub = (l1, l2)
                 floor = -2 * l1 * l2
                 for c2 in range(floor, floor + 6):
-                    v = validate(family(P1P1, (1, 1), (0, 0), sub, c2))
+                    v = validate(P1P1, (1, 1), (0, 0), sub, c2)
                     assert v.passed and (v.q_length == 0) == (c2 == floor)
 
 
@@ -126,8 +122,8 @@ class TestDimLowerBound:
     # the family dimension bound is reported by ``report unstable`` as twice
     # the point count
     def test_doubles_point_count(self):
-        s = family(P1P1, (1, 1), (0, 0), (2, 2), 8)
-        assert report(s)["results"]["dim_lower_bound"]["value"] == 32
+        s = (P1P1, (1, 1), (0, 0), (2, 2), 8)
+        assert report(*s)["results"]["dim_lower_bound"]["value"] == 32
 
     def test_formula_over_grid(self):
         checked = 0
@@ -138,15 +134,15 @@ class TestDimLowerBound:
                     sub = (l1, l2)
                     for r1 in (-2, 0, 1):
                         det = (r1, 0)
-                        s = family(surface, (1, 1), det, sub, 30)
-                        v = validate(s)
+                        s = (surface, (1, 1), det, sub, 30)
+                        v = validate(*s)
                         if not v.passed:
                             continue
                         expected = 2 * (
                             30 + intersection(sub, sub) - intersection(sub, det)
                         )
                         assert 2 * v.q_length == expected
-                        assert report(s)["results"]["dim_lower_bound"]["value"] == expected
+                        assert report(*s)["results"]["dim_lower_bound"]["value"] == expected
                         checked += 1
         assert checked > 50
 
@@ -155,8 +151,8 @@ class TestSelectTwist:
     def test_lines_example(self):
         res = select_twist(P1P1, (1, 1), (0, 0), 0, 4)
         assert res.t == 2
-        assert res.family.sub == (2, 2)
-        v = validate(res.family)
+        assert res.sub == (2, 2)
+        v = validate(P1P1, (1, 1), (0, 0), res.sub, 0)
         assert v.passed and res.q_length == v.q_length == 8 >= 4
 
     def test_vacuous_inequality_gives_t_one(self):
@@ -166,7 +162,7 @@ class TestSelectTwist:
 
     def test_genus_two_scan(self):
         res = select_twist(G22, (1, 1), (2, 0), 1, 10)
-        v = validate(res.family)
+        v = validate(G22, (1, 1), (2, 0), res.sub, 1)
         assert v.passed and res.q_length == v.q_length >= 10
 
     def test_bound_met_over_grid(self):
@@ -177,7 +173,7 @@ class TestSelectTwist:
                     for c2 in (-5, 0, 7):
                         for a in (1, 5, 20):
                             res = select_twist(surface, h, det, c2, a)
-                            v = validate(res.family)
+                            v = validate(surface, h, det, res.sub, c2)
                             assert v.passed and res.q_length == v.q_length >= a
 
     def test_minimality(self):
@@ -188,10 +184,7 @@ class TestSelectTwist:
                 return False
             if 2 * t * h2(h) <= intersection(h, det):
                 return False
-            candidate = UnstableFamilySpec(
-                surface, h, det, (t * h[0], t * h[1]), c2
-            )
-            return validate(candidate).passed
+            return validate(surface, h, det, (t * h[0], t * h[1]), c2).passed
 
         for g in (0, 2):
             surface = ProductSurface(g, g)
