@@ -44,12 +44,7 @@ from .surface import (
     kunneth_h,
     moduli_real_dimension,
 )
-from .unstable import (
-    SelectedTwist,
-    ValidationVerdict,
-    select_twist,
-    validate,
-)
+from .unstable import select_twist, validate
 
 __version__ = "0.1.0"
 
@@ -61,8 +56,6 @@ __all__ = [
     "Polarization",
     "PreconditionError",
     "ProductSurface",
-    "SelectedTwist",
-    "ValidationVerdict",
     "c2_of_extension",
     "canonical_degree",
     "cech_h_p1",

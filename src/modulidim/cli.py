@@ -22,9 +22,9 @@ Exit codes:
   that line, but may leave part of the document on stdout,
 * 2: a result was indeterminate while ``--require-exact`` was given,
 * 3: a report contains a not-established verdict (distinct from an error),
-* 4: an internal check failed: an oracle result moved between windows
-  ``N`` and ``N + 1``, or a Koszul differential did not vanish. Nothing is
-  written to stdout.
+* 4: an oracle check failed (``OracleCheckError``): an oracle result moved
+  between windows ``N`` and ``N + 1``, or a Koszul differential did not
+  vanish. Nothing is written to stdout.
 """
 
 from __future__ import annotations
@@ -45,24 +45,17 @@ from .kuranishi import (
     toy_domain_dim,
     toy_unstable_codim,
 )
-from .oracle import (
-    KoszulAssertionError,
-    StabilizationError,
-    cech_h_p1,
-    cech_h_product,
-    koszul_ext,
-)
+from .oracle import OracleCheckError, cech_h_p1, cech_h_product, koszul_ext
 from .surface import (
     Polarization,
     PreconditionError,
     ProductSurface,
     c2_of_extension,
     degree_wrt,
-    intersection,
     kunneth_h,
     moduli_real_dimension,
 )
-from .unstable import select_twist, validate
+from .unstable import CAYLEY_BACHARACH, select_twist, validate
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -180,10 +173,7 @@ def _compare_doc(args) -> tuple[dict, int]:
         }
         for m, n, orientation, report in comparison.strata
     ]
-    ledger = []
-    established = [r for *_, r in comparison.strata if r.margin_established]
-    if established:
-        ledger = discrepancies.ledger(min(established, key=lambda r: r.margin))
+    weakest = comparison.weakest
     doc = {
         "command": "report compare",
         "inputs": {
@@ -198,10 +188,10 @@ def _compare_doc(args) -> tuple[dict, int]:
             "strata": rows,
             "excluded": list(comparison.excluded),
             "not_established": list(comparison.not_established),
-            "min_margin": _pv(comparison.min_margin, "chi-derived"),
+            "min_margin": _pv(None if weakest is None else weakest.margin, "chi-derived"),
         },
         "verdicts": {"margin_exceeds_c2": comparison.verdict},
-        "discrepancy_ledger": ledger,
+        "discrepancy_ledger": discrepancies.ledger(weakest) if weakest is not None else [],
     }
     return doc, EXIT_NOT_ESTABLISHED if comparison.verdict == "not-established" else EXIT_OK
 
@@ -225,21 +215,18 @@ def _unstable_doc(args) -> tuple[dict, int]:
             raise PreconditionError("--select-t requires --a")
         if args.L is not None:
             raise PreconditionError("--select-t chooses L itself and takes no --L")
-        selected = select_twist(surface, args.H, args.R, args.c2, args.a)
-        points = selected.q_length
-        h2 = intersection(args.H, args.H)
-        hr = intersection(args.H, args.R)
+        t, sub, points = select_twist(surface, args.H, args.R, args.c2, args.a)
         doc["inputs"]["a"] = args.a
         doc["results"] = {
-            "t": _pv(selected.t, "closed-form"),
-            "L": list(selected.sub),
+            "t": _pv(t, "closed-form"),
+            "L": list(sub),
             "q_length": _pv(points, "closed-form"),
             "dim_lower_bound": _pv(2 * points, "closed-form"),
             "target": _pv(2 * args.a, "closed-form"),
         }
         doc["verdicts"] = {"bound_met": 2 * points >= 2 * args.a}
         doc["discrepancy_ledger"] = [
-            discrepancies.twist_inequality_entry(h2, hr, args.c2, args.a, selected.t)
+            discrepancies.twist_inequality_entry(args.H, args.R, args.c2, args.a, t)
         ]
         return doc, EXIT_OK
 
@@ -247,62 +234,52 @@ def _unstable_doc(args) -> tuple[dict, int]:
         raise PreconditionError("--a is the target of --select-t and requires it")
     if args.L is None:
         raise PreconditionError("report unstable requires --L (or --select-t with --a)")
-    verdict = validate(surface, args.H, args.R, args.L, args.c2)
+    outcome, conditions, points = validate(surface, args.H, args.R, args.L, args.c2)
+    passed = outcome == "pass"
     doc["inputs"]["L"] = list(args.L)
     doc["conditions"] = [
-        {"name": c.name, "status": c.status, "detail": c.detail}
-        for c in verdict.conditions
+        {"name": name, "status": status, "detail": detail} for name, status, detail in conditions
     ]
-    doc["assumptions"] = list(verdict.assumptions)
-    if verdict.passed:
-        points = verdict.q_length
-        doc["results"] = {
-            "q_length": _pv(points, "closed-form"),
-            "dim_lower_bound": _pv(2 * points, "closed-form"),
-        }
-        doc["verdicts"] = {"family_admissible": "pass"}
-        return doc, EXIT_OK
-    # a hard failure is an established verdict; only a purely
-    # undecidable outcome counts as "not established"
-    statuses = {c.status for c in verdict.conditions}
-    outcome = "fail" if "fail" in statuses else "undecidable"
-    doc["results"] = {}
+    # the assumption is stated only with the bound that rests on it
+    doc["assumptions"] = [CAYLEY_BACHARACH] if passed else []
+    doc["results"] = {
+        "q_length": _pv(points, "closed-form"),
+        "dim_lower_bound": _pv(2 * points, "closed-form"),
+    } if passed else {}
     doc["verdicts"] = {"family_admissible": outcome}
-    return doc, EXIT_OK if outcome == "fail" else EXIT_NOT_ESTABLISHED
+    # a hard failure is an established verdict; only an undecidable
+    # outcome counts as "not established"
+    return doc, EXIT_NOT_ESTABLISHED if outcome == "undecidable" else EXIT_OK
 
 
 def _oracle_p1_doc(args) -> tuple[dict, int]:
-    r = cech_h_p1(args.k, args.window)
+    h0, h1, window = cech_h_p1(args.k, args.window)
     return {
         "command": "oracle p1",
-        "inputs": {"k": args.k, "window": r.window},
-        "results": {"h0": _pv(r.h0, "oracle"), "h1": _pv(r.h1, "oracle")},
+        "inputs": {"k": args.k, "window": window},
+        "results": {"h0": _pv(h0, "oracle"), "h1": _pv(h1, "oracle")},
     }, EXIT_OK
 
 
 def _oracle_product_doc(args) -> tuple[dict, int]:
-    r = cech_h_product(args.a, args.b, args.window)
+    h0, h1, h2, window = cech_h_product(args.a, args.b, args.window)
     return {
         "command": "oracle product",
-        "inputs": {"a": args.a, "b": args.b, "window": r.window},
-        "results": {
-            "h0": _pv(r.h0, "oracle"),
-            "h1": _pv(r.h1, "oracle"),
-            "h2": _pv(r.h2, "oracle"),
-        },
+        "inputs": {"a": args.a, "b": args.b, "window": window},
+        "results": {"h0": _pv(h0, "oracle"), "h1": _pv(h1, "oracle"), "h2": _pv(h2, "oracle")},
     }, EXIT_OK
 
 
 def _oracle_koszul_doc(args) -> tuple[dict, int]:
-    r = koszul_ext(args.a, args.b)
+    e0, e1, e2 = koszul_ext(args.a, args.b)
     return {
         "command": "oracle koszul",
         "inputs": {"a": args.a, "b": args.b},
         "results": {
-            "hom": _pv(r.e0, "oracle"),
-            "ext1": _pv(r.e1, "oracle"),
-            "ext2": _pv(r.e2, "oracle"),
-            "length": _pv(r.length, "oracle"),
+            "hom": _pv(e0, "oracle"),
+            "ext1": _pv(e1, "oracle"),
+            "ext2": _pv(e2, "oracle"),
+            "length": _pv(args.a * args.b, "oracle"),
         },
     }, EXIT_OK
 
@@ -656,13 +633,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.require_exact and _has_interval(doc):
             code = EXIT_INDETERMINATE
         (render_json if args.format == "json" else render_markdown)(doc, sys.stdout)
-    except (PreconditionError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except MemoryError:
         print("modulidim: error: out of memory", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (StabilizationError, KoszulAssertionError) as exc:
+    except OracleCheckError as exc:
         print(f"modulidim: error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return code

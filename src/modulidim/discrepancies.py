@@ -7,12 +7,14 @@ ledger entry showing the stated form, the form actually used, the two
 values for the inputs at hand, and the relation that keeps the original
 conclusions intact. Used values, and the stated ``nu1`` and margin, are
 read from the report that computes them; the stated ``c2`` and
-twist-inequality forms are evaluated here.
+twist-inequality forms, and the twist inequality's intersection numbers,
+are evaluated here.
 """
 
 from __future__ import annotations
 
 from .kuranishi import KuranishiReport
+from .surface import Pair, intersection
 
 
 def ledger(report: KuranishiReport) -> list[dict]:
@@ -59,14 +61,17 @@ def c2_entry(m: int, n: int, l: int, c2: int) -> dict:
     }
 
 
-def twist_inequality_entry(h2: int, hr: int, c2: int, a: int, t: int) -> dict:
-    """The degree inequality selecting the twist exponent.
+def twist_inequality_entry(ample: Pair, det: Pair, c2: int, a: int, t: int) -> dict:
+    """The degree inequality selecting the twist exponent, with ``H^2`` and
+    ``H.R`` taken from the ample class ``H`` and the class ``R``.
 
     The stated form forces a negative point count, contradicting the
     nonnegativity of the quotient length; the corrected orientation makes
     the point count at least ``a`` and hence the family at least
     ``2a``-dimensional, which is the claimed conclusion.
     """
+    h2 = intersection(ample, ample)
+    hr = intersection(ample, det)
     return {
         "id": "twist-degree-inequality",
         "anchor": "twist selection for totally unstable families",

@@ -183,13 +183,15 @@ class ComparisonReport(Record):
         )
 
     @property
-    def min_margin(self) -> int | None:
-        return min((r.margin for *_, r in self.strata if r.margin_established), default=None)
+    def weakest(self) -> KuranishiReport | None:
+        """The first established report of least margin, or ``None``."""
+        established = (r for *_, r in self.strata if r.margin_established)
+        return min(established, key=lambda r: r.margin, default=None)
 
     @property
     def verdict(self) -> str:
-        min_margin = self.min_margin
-        if min_margin is not None and min_margin <= self.c2:
+        weakest = self.weakest
+        if weakest is not None and weakest.margin <= self.c2:
             return "false"
         if any(not r.margin_established for *_, r in self.strata):
             return "not-established"

@@ -17,39 +17,18 @@ from the length of an exponent range before any column is built, so a
 window too long for a machine word raises :class:`OverflowError` at once.
 Correctness of a truncated answer is certified operationally:
 every result is recomputed at window ``N + 1``, and a change in any
-dimension raises :class:`StabilizationError`. The Koszul oracle raises
-:class:`KoszulAssertionError` when a differential fails to vanish. The
-command line reports either error with exit code 4.
+dimension raises :class:`OracleCheckError`, as does a Koszul differential
+that fails to vanish. The command line reports that error with exit code 4.
 """
 
 from __future__ import annotations
 
-from .dims import Record
 from .linalg import sparse_rank
 
 
-class WindowTooSmallError(ValueError):
-    """The truncation window cannot contain the requested computation."""
-
-
-class StabilizationError(RuntimeError):
-    """Recomputation at a larger window changed the answer."""
-
-
-class KoszulAssertionError(RuntimeError):
-    """A resolution differential expected to vanish did not."""
-
-
-class P1CechResult(Record):
-    __slots__ = ("h0", "h1", "window")
-
-
-class ProductCechResult(Record):
-    __slots__ = ("h0", "h1", "h2", "window")
-
-
-class KoszulExtResult(Record):
-    __slots__ = ("e0", "e1", "e2", "length")
+class OracleCheckError(RuntimeError):
+    """An oracle's own check failed: recomputation at a larger window changed
+    the answer, or a resolution differential expected to vanish did not."""
 
 
 def _chart_exponents(chart: int, k: int, N: int) -> range:
@@ -76,8 +55,9 @@ def _p1_dims(k: int, N: int) -> tuple[int, int]:
     return n0 - rank, n1 - rank
 
 
-def cech_h_p1(k: int, N: int | None = None) -> P1CechResult:
-    """Cohomology of the degree-k twisting sheaf on the projective line.
+def cech_h_p1(k: int, N: int | None = None) -> tuple[int, int, int]:
+    """Cohomology ``(h0, h1, N)`` of the degree-k twisting sheaf on the
+    projective line, with the window ``N`` used.
 
     Builds the two-chart complex with monomial exponents truncated to the
     window ``[-N, N]`` and computes exact kernel and cokernel ranks.
@@ -88,11 +68,11 @@ def cech_h_p1(k: int, N: int | None = None) -> P1CechResult:
     if N is None:
         N = need
     if N < need:
-        raise WindowTooSmallError(f"need N >= {need} for degree {k}, got {N}")
+        raise ValueError(f"need N >= {need} for degree {k}, got {N}")
     h = _p1_dims(k, N)
     if h != _p1_dims(k, N + 1):
-        raise StabilizationError(f"degree {k} not stabilized at window {N}")
-    return P1CechResult(h0=h[0], h1=h[1], window=N)
+        raise OracleCheckError(f"degree {k} not stabilized at window {N}")
+    return (*h, N)
 
 
 def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
@@ -145,8 +125,9 @@ def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
     return n0 - rank0, n1 - rank0 - rank1, n2 - rank1
 
 
-def cech_h_product(a: int, b: int, N: int | None = None) -> ProductCechResult:
-    """Cohomology of the bidegree-(a, b) sheaf on a product of two lines.
+def cech_h_product(a: int, b: int, N: int | None = None) -> tuple[int, int, int, int]:
+    """Cohomology ``(h0, h1, h2, N)`` of the bidegree-(a, b) sheaf on a
+    product of two lines, with the window ``N`` used.
 
     Exponents are truncated to ``[-N, N]``; requires
     ``N >= max(|a|, |b|) + 2``, the default.
@@ -155,11 +136,11 @@ def cech_h_product(a: int, b: int, N: int | None = None) -> ProductCechResult:
     if N is None:
         N = need
     if N < need:
-        raise WindowTooSmallError(f"need N >= {need} for bidegree ({a}, {b}), got {N}")
+        raise ValueError(f"need N >= {need} for bidegree ({a}, {b}), got {N}")
     h = _product_dims(a, b, N)
     if h != _product_dims(a, b, N + 1):
-        raise StabilizationError(f"bidegree ({a}, {b}) not stabilized at window {N}")
-    return ProductCechResult(h0=h[0], h1=h[1], h2=h[2], window=N)
+        raise OracleCheckError(f"bidegree ({a}, {b}) not stabilized at window {N}")
+    return (*h, N)
 
 
 def _multiplication_matrix(a: int, b: int, dx: int, dy: int) -> list[dict[int, int]]:
@@ -176,10 +157,10 @@ def _multiplication_matrix(a: int, b: int, dx: int, dy: int) -> list[dict[int, i
     ]
 
 
-def koszul_ext(a: int, b: int) -> KoszulExtResult:
-    """Self-Ext dimensions of the quotient ``O / (x^a, y^b)``, a complete
-    intersection of length ``ab`` (both exponents ``>= 1``), via its Koszul
-    resolution.
+def koszul_ext(a: int, b: int) -> tuple[int, int, int]:
+    """Self-Ext dimensions ``(e0, e1, e2)`` of the quotient ``O / (x^a, y^b)``,
+    a complete intersection of length ``ab`` (both exponents ``>= 1``), via
+    its Koszul resolution.
 
     Applying the hom functor into the quotient to the length-two resolution
     by the generators ``x^a`` and ``y^b`` produces a three-term complex whose
@@ -199,12 +180,7 @@ def koszul_ext(a: int, b: int) -> KoszulExtResult:
     rank1 = sparse_rank(d1)
     rank2 = sparse_rank(d2)
     if rank1 != 0 or rank2 != 0:
-        raise KoszulAssertionError(
+        raise OracleCheckError(
             f"resolution differentials have ranks ({rank1}, {rank2}), expected zero"
         )
-    return KoszulExtResult(
-        e0=l - rank1,
-        e1=2 * l - rank1 - rank2,
-        e2=l - rank2,
-        length=l,
-    )
+    return l - rank1, 2 * l - rank1 - rank2, l - rank2

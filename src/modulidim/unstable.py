@@ -12,38 +12,28 @@ unstable bundles of dimension at least twice the point count,
 from __future__ import annotations
 
 from .curves import canonical_degree
-from .dims import Record
 from .surface import Pair, PreconditionError, ProductSurface, intersection, kunneth_h
 
 
-class ConditionVerdict(Record):
-    """One named condition; ``status`` is ``"pass"``, ``"fail"`` or ``"undecidable"``."""
-
-    __slots__ = ("name", "status", "detail")
-
-
-class ValidationVerdict(Record):
-    """The three conditions, and the point count ``c2 + L^2 - L.R``, which
-    is negative exactly when the c2 bound fails."""
-
-    __slots__ = ("conditions", "assumptions", "q_length")
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.conditions)
-
-
-class SelectedTwist(Record):
-    """The twist ``t``, its sub-line-bundle class ``L = t H``, and the point count."""
-
-    __slots__ = ("t", "sub", "q_length")
+# The assumption that the dimension bound of a passing family rests on.
+CAYLEY_BACHARACH = (
+    "every nonempty finite point set has the Cayley-Bacharach "
+    "property with respect to the vanishing twist (granted by the "
+    "choice of L)"
+)
 
 
 def validate(
     surface: ProductSurface, ample: Pair, det: Pair, sub: Pair, c2: int
-) -> ValidationVerdict:
+) -> tuple[str, tuple[tuple[str, str, str], ...], int]:
     """Check the three admissibility conditions of the family ``(H, R, L, c2)``,
     whose ample class ``H`` needs positive entries.
+
+    Returns ``(outcome, conditions, q_length)``. Each condition is a
+    ``(name, status, detail)`` triple whose status is ``"pass"``, ``"fail"``
+    or ``"undecidable"``. The outcome is ``"fail"`` if any condition fails,
+    else ``"undecidable"`` if any is undecidable, else ``"pass"``. The point
+    count ``c2 + L^2 - L.R`` is negative exactly when the c2 bound fails.
 
     The section-vanishing condition is decided through the factor-degree
     rules: a negative component degree forces vanishing, and two pinned
@@ -55,10 +45,10 @@ def validate(
         raise PreconditionError(f"the ample class needs positive entries, got {ample}")
     slope_lhs = 2 * intersection(sub, ample)
     slope_rhs = intersection(det, ample)
-    slope = ConditionVerdict(
-        name="slope",
-        status="pass" if slope_lhs > slope_rhs else "fail",
-        detail=f"2 L.H = {slope_lhs} vs R.H = {slope_rhs} (need strict >)",
+    slope = (
+        "slope",
+        "pass" if slope_lhs > slope_rhs else "fail",
+        f"2 L.H = {slope_lhs} vs R.H = {slope_rhs} (need strict >)",
     )
 
     # the bidegree of K + R - 2L, whose sections must vanish
@@ -77,26 +67,17 @@ def validate(
             "undecidable",
             f"h0 of bidegree {twist_bidegree} only bounded to {h0}",
         )
-    vanishing = ConditionVerdict(name="section-vanishing", status=status, detail=detail)
+    vanishing = ("section-vanishing", status, detail)
 
     floor = -intersection(sub, sub) + intersection(sub, det)
     points = c2 - floor
-    c2_bound = ConditionVerdict(
-        name="c2-bound",
-        status="pass" if points >= 0 else "fail",
-        detail=f"c2 = {c2} vs floor {floor}",
-    )
+    c2_bound = ("c2-bound", "pass" if points >= 0 else "fail", f"c2 = {c2} vs floor {floor}")
 
     conditions = (slope, vanishing, c2_bound)
-    return ValidationVerdict(
-        conditions=conditions,
-        assumptions=(
-            "every nonempty finite point set has the Cayley-Bacharach "
-            "property with respect to the vanishing twist (granted by the "
-            "choice of L)",
-        ),
-        q_length=points,
-    )
+    statuses = {s for _, s, _ in conditions}
+    # a failure decides the family; otherwise an undecidable condition leaves it open
+    outcome = next((o for o in ("fail", "undecidable") if o in statuses), "pass")
+    return outcome, conditions, points
 
 
 # Largest twist ``select_twist`` tries before giving up.
@@ -105,26 +86,20 @@ _MAX_T = 10_000
 
 def select_twist(
     surface: ProductSurface, ample: Pair, det: Pair, c2: int, a: int
-) -> SelectedTwist:
+) -> tuple[int, Pair, int]:
     """Smallest positive twist ``t`` making the family at least ``2a``-dimensional.
 
-    Takes ``L = t H`` and scans upward for the first ``t`` satisfying the
-    degree inequality ``t^2 H^2 - t H.R >= a - c2`` (which makes the point
-    count at least ``a``), the slope condition, and the section-vanishing
-    criterion. Such a ``t`` always exists since the quadratic term
-    dominates; the scan stops at ``t = _MAX_T`` (10,000) only as a guard.
+    Takes ``L = t H`` and returns ``(t, L, q_length)`` for the first ``t``
+    whose family passes :func:`validate` with a point count of at least
+    ``a``. Such a ``t`` always exists since the quadratic term of the point
+    count ``c2 + t^2 H^2 - t H.R`` dominates; the scan stops at
+    ``t = _MAX_T`` (10,000) only as a guard.
     """
     if a < 1:
         raise PreconditionError(f"the dimension target must be >= 1, got {a}")
-    h2 = intersection(ample, ample)
-    hr = intersection(ample, det)
     for t in range(1, _MAX_T + 1):
-        if t * t * h2 - t * hr < a - c2:
-            continue
-        if 2 * t * h2 <= hr:
-            continue
         sub = (t * ample[0], t * ample[1])
-        verdict = validate(surface, ample, det, sub, c2)
-        if verdict.passed:
-            return SelectedTwist(t=t, sub=sub, q_length=verdict.q_length)
+        outcome, _, points = validate(surface, ample, det, sub, c2)
+        if outcome == "pass" and points >= a:
+            return t, sub, points
     raise PreconditionError(f"no admissible twist found with t <= {_MAX_T}")

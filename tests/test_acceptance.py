@@ -67,22 +67,20 @@ def test_criterion_1_toy_exactness(capsys):
 def test_criterion_2_cech_oracles_vs_closed_forms(capsys):
     start = time.monotonic()
     for k in range(-20, 21):
-        r = cech_h_p1(k)
+        h0, h1, _ = cech_h_p1(k)
         expected_h0 = k + 1 if k >= 0 else 0
         expected_h1 = -k - 1 if k <= -2 else 0
-        assert (r.h0, r.h1) == (expected_h0, expected_h1), k
-        assert h0_h1(0, k) == (r.h0, r.h0, r.h1, r.h1)
+        assert (h0, h1) == (expected_h0, expected_h1), k
+        assert h0_h1(0, k) == (h0, h0, h1, h1)
 
     surface = ProductSurface(0, 0)
     for a in range(-6, 7):
         for b in range(-6, 7):
-            r = cech_h_product(a, b)
-            expected = (Dim.exact(r.h0), Dim.exact(r.h1), Dim.exact(r.h2))
-            assert kunneth_h(surface, (a, b)) == expected, (a, b)
+            *h, _ = cech_h_product(a, b)
+            assert kunneth_h(surface, (a, b)) == tuple(map(Dim.exact, h)), (a, b)
 
     # the two stated vanishings for the structure sheaf
-    r = cech_h_product(0, 0)
-    assert (r.h0, r.h1, r.h2) == (1, 0, 0)
+    assert cech_h_product(0, 0)[:3] == (1, 0, 0)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"oracle sweep took {elapsed:.2f}s"
     with capsys.disabled():
@@ -95,9 +93,8 @@ def test_criterion_3_koszul_oracle(capsys):
         for b in range(1, 10):
             if a * b > 9:
                 continue
-            r = koszul_ext(a, b)
             l = a * b
-            assert (r.e0, r.e1, r.e2) == (l, 2 * l, l)
+            assert koszul_ext(a, b) == (l, 2 * l, l)
             assert ext_dims_QQ(l) == (l, 2 * l, l)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
@@ -224,12 +221,12 @@ def test_criterion_5_unstable_component_suite(capsys):
                 for det in [(0, 0), (2, -1)]:
                     floor = -intersection(sub, sub) + intersection(sub, det)
                     for c2 in (floor, floor + 3, floor + 11):
-                        v = validate(surface, (1, 1), det, sub, c2)
-                        if not v.passed:
+                        outcome, _, points = validate(surface, (1, 1), det, sub, c2)
+                        if outcome != "pass":
                             continue
                         expected = c2 + intersection(sub, sub) - intersection(sub, det)
-                        assert v.q_length == expected
-                        assert (v.q_length == 0) == (c2 == floor)
+                        assert points == expected
+                        assert (points == 0) == (c2 == floor)
                         checked += 1
     assert checked > 100
 
@@ -238,17 +235,17 @@ def test_criterion_5_unstable_component_suite(capsys):
         for det in [(0, 0), (2, 0), (-1, 3)]:
             for c2 in (-4, 0, 6):
                 for a in (1, 7, 20):
-                    res = select_twist(surface, (1, 1), det, c2, a)
-                    v = validate(surface, (1, 1), det, res.sub, c2)
-                    assert v.passed and res.q_length == v.q_length >= a
-                    if res.t > 1:
-                        t = res.t - 1
+                    t, sub, points = select_twist(surface, (1, 1), det, c2, a)
+                    assert validate(surface, (1, 1), det, sub, c2)[::2] == ("pass", points)
+                    assert points >= a
+                    if t > 1:
+                        t -= 1
                         h2 = intersection((1, 1), (1, 1))
                         hr = intersection((1, 1), det)
                         prev_ok = (
                             t * t * h2 - t * hr >= a - c2
                             and 2 * t * h2 > hr
-                            and validate(surface, (1, 1), det, (t, t), c2).passed
+                            and validate(surface, (1, 1), det, (t, t), c2)[0] == "pass"
                         )
                         assert not prev_ok, "returned t is not minimal"
     elapsed = time.monotonic() - start

@@ -22,7 +22,7 @@ from modulidim.cli import (
 )
 from modulidim.kuranishi import nonfiltrable_report
 from modulidim.surface import Polarization, ProductSurface
-from modulidim.unstable import validate
+from modulidim.unstable import CAYLEY_BACHARACH, validate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -234,13 +234,14 @@ class TestUnstableReport:
         assert doc["results"]["dim_lower_bound"]["value"] >= 8
         assert doc["discrepancy_ledger"][0]["id"] == "twist-degree-inequality"
 
-    @pytest.mark.parametrize("flags,points", [
-        (("--L", "2,2", "--c2", "8"), 16),
-        (("--c2", "0", "--select-t", "--a", "4"), 8),
+    @pytest.mark.parametrize("flags,points,subs", [
+        (("--L", "2,2", "--c2", "8"), 16, [(2, 2)]),
+        (("--c2", "0", "--select-t", "--a", "4"), 8, [(1, 1), (2, 2)]),
     ], ids=["L", "select-t"])
-    def test_validates_once_per_command(self, capsys, monkeypatch, flags, points):
-        # --select-t reaches one candidate here: t = 1 fails the degree
-        # inequality before it is validated, and t = 2 passes
+    def test_validates_once_per_command(self, capsys, monkeypatch, flags, points, subs):
+        # --L validates its family once; --select-t validates each candidate
+        # t H up to the one it chooses: t = 1 passes with 2 points, short of
+        # a = 4, and t = 2 passes with 8
         calls = []
 
         def counted(surface, ample, det, sub, c2):
@@ -255,8 +256,23 @@ class TestUnstableReport:
             *flags,
         )
         assert code == 0
-        assert calls == [(2, 2)]
+        assert calls == subs
         assert doc["results"]["q_length"]["value"] == points
+
+    @pytest.mark.parametrize("flags,outcome,assumptions", [
+        (("--g1", "0", "--g2", "0", "--R", "0,0", "--L", "2,2"), "pass", [CAYLEY_BACHARACH]),
+        (("--g1", "0", "--g2", "0", "--R", "0,0", "--L", "0,0"), "fail", []),
+        (("--g1", "2", "--g2", "2", "--R", "3,3", "--L", "2,2"), "undecidable", []),
+    ], ids=["pass", "fail", "undecidable"])
+    def test_assumption_stated_only_with_a_passing_family(
+        self, capsys, flags, outcome, assumptions
+    ):
+        # the Cayley-Bacharach line backs the dimension bound, which only a
+        # passing family's document states
+        _, doc, _ = run_json(capsys, "report", "unstable", "--H", "1,1", "--c2", "8", *flags)
+        assert doc["verdicts"]["family_admissible"] == outcome
+        assert doc["assumptions"] == assumptions
+        assert bool(doc["results"]) == (outcome == "pass")
 
     def test_select_twist_needs_target(self, capsys):
         code, _, err = run_cli(
@@ -321,13 +337,16 @@ def test_geometry_refusal_exits_one_with_its_message(capsys, argv, message):
     ("report unstable --g1 1 --g2 1 --H=0,1 --R=-1,0 --c2 3 --select-t --a 2",
      "the ample class needs positive entries, got (0, 1)"),
     ("report unstable --g1 1 --g2 1 --H 0,1 --R 0,0 --c2 3 --select-t --a 2",
+     "the ample class needs positive entries, got (0, 1)"),
+    ("report unstable --g1 0 --g2 0 --H 1,1 --R 0,0 --c2 0 --select-t --a 1000000000",
      "no admissible twist found with t <= 10000"),
     ("oracle koszul --a 0 --b 2", "exponents must be >= 1"),
-], ids=["unstable-ample", "select-t-ample", "select-t-prefiltered", "koszul-exponent"])
+], ids=["unstable-ample", "select-t-ample", "select-t-prefiltered", "select-t-cap",
+        "koszul-exponent"])
 def test_input_refusal_exits_one_with_its_message(capsys, argv, message):
-    # the ample class is checked by validate, which --select-t reaches only
-    # for a twist that passes the degree and slope pre-filters; the Koszul
-    # exponents are checked before any matrix is built
+    # the ample class is checked by validate, which --select-t calls for
+    # every candidate twist from t = 1 on, so a bad class is refused whatever
+    # R is; the Koszul exponents are checked before any matrix is built
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == f"modulidim: error: {message}"

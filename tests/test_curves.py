@@ -153,5 +153,5 @@ def test_h0_monotone_above_canonical_degree():
 
 def test_matches_line_oracle_at_genus_zero():
     for k in range(-30, 31):
-        r = cech_h_p1(k)
-        assert h0_h1(0, k) == (r.h0, r.h0, r.h1, r.h1), k
+        h0, h1, _ = cech_h_p1(k)
+        assert h0_h1(0, k) == (h0, h0, h1, h1), k

@@ -358,7 +358,7 @@ class TestComparisonReport:
     def test_lines_c2_two(self):
         report = homology_comparison_report(P1P1, W, 2, 5)
         assert report.verdict == "true"
-        assert report.min_margin == 3
+        assert report.weakest.margin == 3
         coords = {(m, n, r.q_length) for m, n, _, r in report.strata}
         assert (1, -1, 0) in coords
         assert not report.not_established
@@ -391,7 +391,7 @@ class TestComparisonReport:
         g03 = ProductSurface(0, 3)
         report = homology_comparison_report(g03, W, 8, 6)
         assert report.verdict == "false"
-        assert report.min_margin == 6
+        assert report.weakest.margin == 6
         assert report.not_established
         assert all(s["n"] == -1 for s in report.not_established)
 
@@ -399,7 +399,7 @@ class TestComparisonReport:
         # (1, -1, l = 10) on genus (2, 2) has margin 3 below c2 = 12
         report = homology_comparison_report(G22, W, 12, 10)
         assert report.verdict == "false"
-        assert report.min_margin == 3
+        assert report.weakest.margin == 3
 
     def test_excluded_strata_are_reported(self):
         report = homology_comparison_report(P1P1, W, 2, 5)
@@ -437,19 +437,48 @@ class TestComparisonReport:
         # the minimum margin, verdict and not-established list are read from
         # the strata and c2, so the same strata against a smaller c2 decide anew
         report = homology_comparison_report(ProductSurface(0, 3), W, 8, 6)
-        assert (report.verdict, report.min_margin) == ("false", 6)
+        assert (report.verdict, report.weakest.margin) == ("false", 6)
         lower = ComparisonReport(5, report.strata, report.excluded)
-        assert (lower.verdict, lower.min_margin) == ("not-established", 6)
+        assert (lower.verdict, lower.weakest) == ("not-established", report.weakest)
         assert lower.not_established == report.not_established
         empty = ComparisonReport(8, (), ())
-        assert (empty.verdict, empty.min_margin, empty.not_established) == ("true", None, ())
+        assert (empty.verdict, empty.weakest, empty.not_established) == ("true", None, ())
 
     def test_vacuously_true_when_no_strata(self):
         # c2 = 1 admits no mixed stratum: l = 1 + 2mn < 0 for all mn < 0
         report = homology_comparison_report(P1P1, W, 1, 5)
-        assert report.min_margin is None
+        assert report.weakest is None
         assert report.verdict == "true"
         assert not report.strata
+
+    def test_weakest_is_none_when_nothing_is_established(self):
+        # both strata of genus (3, 3) at c2 = 2 have chi = 0
+        report = homology_comparison_report(ProductSurface(3, 3), W, 2, 5)
+        assert report.strata
+        assert not any(r.margin_established for *_, r in report.strata)
+        assert report.weakest is None
+
+    def test_weakest_is_the_first_of_tied_strata(self):
+        # with equal genera and alpha = beta a stratum and its swap have equal
+        # margins; the weakest is the first of them in strata order
+        for g in (0, 1, 2):
+            report = homology_comparison_report(ProductSurface(g, g), Polarization(2, 2), 6, 3)
+            reports = [r for *_, r in report.strata if r.margin_established]
+            least = min(r.margin for r in reports)
+            tied = [r for r in reports if r.margin == least]
+            assert len(tied) >= 2
+            assert report.weakest is tied[0]
+
+    def test_verdict_is_false_exactly_when_the_weakest_margin_fails(self):
+        verdicts = set()
+        for surface in (P1P1, G22, G23, ProductSurface(0, 3), ProductSurface(3, 1)):
+            for c2 in range(1, 16):
+                report = homology_comparison_report(surface, W, c2, c2)
+                weakest = report.weakest
+                failed = weakest is not None and weakest.margin <= c2
+                assert (report.verdict == "false") == failed, (surface, c2)
+                verdicts.add(report.verdict)
+        assert verdicts == {"true", "false", "not-established"}
 
     def test_margin_and_c2_independent_of_polarization(self):
         polarizations = [Polarization(1, 1), Polarization(2, 1), Polarization(1, 3)]

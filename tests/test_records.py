@@ -12,15 +12,14 @@ import pytest
 import modulidim.cli  # noqa: F401  (loads every module that defines a record)
 from modulidim.dims import Dim, Record
 from modulidim.kuranishi import ComparisonReport, KuranishiReport, component_report
-from modulidim.oracle import KoszulExtResult, P1CechResult, ProductCechResult, koszul_ext
+from modulidim.oracle import koszul_ext
 from modulidim.surface import Polarization, PreconditionError, ProductSurface
-from modulidim.unstable import ConditionVerdict, SelectedTwist, ValidationVerdict, validate
+from modulidim.unstable import validate
 from reference import BidegreeBundle, CurveLineBundle, Triviality
 
 _SURFACE = ProductSurface(0, 2)
 _POLARIZATION = Polarization(2, 1)
 _REPORT = component_report(_SURFACE, 1, -1, _POLARIZATION)
-_CONDITION = ConditionVerdict("c2-bound", "pass", "q = 3")
 
 # the `Name(field=value, ...)` reprs of these records
 _SURFACE_REPR = "ProductSurface(g1=0, g2=2)"
@@ -29,7 +28,6 @@ _REPORT_REPR = (
     "KuranishiReport(g1=0, g2=2, m=1, n=-1, q_length=0, t_u=Dim(9), "
     "comp_i_target=Dim(0), codim=Dim[1..3], equations=Dim[0..2])"
 )
-_CONDITION_REPR = "ConditionVerdict(name='c2-bound', status='pass', detail='q = 3')"
 _GENERIC = "<Triviality.GENERIC: 'generic'>"
 
 SAMPLES = [
@@ -52,16 +50,6 @@ SAMPLES = [
         f"ComparisonReport(c2=6, strata=((1, -1, 'standard', {_REPORT_REPR}),), "
         "excluded=((0, 0, 0),))",
     ),
-    (_CONDITION, _CONDITION_REPR),
-    (
-        ValidationVerdict((_CONDITION,), ("assumed",), 3),
-        f"ValidationVerdict(conditions=({_CONDITION_REPR},), "
-        "assumptions=('assumed',), q_length=3)",
-    ),
-    (SelectedTwist(2, (2, 2), 3), "SelectedTwist(t=2, sub=(2, 2), q_length=3)"),
-    (P1CechResult(0, 2, 5), "P1CechResult(h0=0, h1=2, window=5)"),
-    (ProductCechResult(0, 3, 0, 4), "ProductCechResult(h0=0, h1=3, h2=0, window=4)"),
-    (KoszulExtResult(6, 12, 6, 6), "KoszulExtResult(e0=6, e1=12, e2=6, length=6)"),
 ]
 
 

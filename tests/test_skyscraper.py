@@ -43,5 +43,4 @@ def test_closed_form_matches_koszul_oracle():
         for b in range(1, 10):
             if a * b > 9:
                 continue
-            r = koszul_ext(a, b)
-            assert (r.e0, r.e1, r.e2) == ext_dims_QQ(a * b)
+            assert koszul_ext(a, b) == ext_dims_QQ(a * b)

@@ -57,6 +57,23 @@ def test_every_export_is_used_inside_the_package():
     assert not unused, unused
 
 
+def test_every_record_checks_or_derives():
+    # a record earns its class by checking its values in __post_init__ or by
+    # deriving entries as properties; a function returning a plain result
+    # returns a tuple instead
+    import modulidim.cli  # noqa: F401  (loads every module that defines a record)
+
+    records = [cls for cls in modulidim.dims.Record.__subclasses__()
+               if cls.__module__.partition(".")[0] == "modulidim"]
+    assert records
+    bare = sorted(
+        cls.__name__ for cls in records
+        if "__post_init__" not in vars(cls)
+        and not any(isinstance(value, property) for value in vars(cls).values())
+    )
+    assert not bare, bare
+
+
 def test_every_traced_function_exists(monkeypatch):
     # bench/tracer.py wraps functions by (module, attribute) name; a rename
     # in the package would break the traced benchmark run without this check

@@ -6,14 +6,16 @@ import pytest
 
 from modulidim.cli import main
 from modulidim.surface import PreconditionError, ProductSurface, intersection
-from modulidim.unstable import select_twist, validate
+from modulidim.unstable import CAYLEY_BACHARACH, select_twist, validate
 
 P1P1 = ProductSurface(0, 0)
 G22 = ProductSurface(2, 2)
 
 
-def statuses(verdict):
-    return {c.name: c.status for c in verdict.conditions}
+def statuses(family):
+    """Each condition's status for ``validate(*family)``."""
+    _, conditions, _ = validate(*family)
+    return {name: status for name, status, _ in conditions}
 
 
 def report(surface, ample, det, sub, c2):
@@ -28,45 +30,52 @@ def report(surface, ample, det, sub, c2):
 
 class TestValidate:
     def test_passing_example_on_lines(self):
-        v = validate(P1P1, (1, 1), (0, 0), (2, 2), 8)
-        assert v.passed
-        assert [c.status for c in v.conditions] == ["pass", "pass", "pass"]
+        outcome, conditions, _ = validate(P1P1, (1, 1), (0, 0), (2, 2), 8)
+        assert outcome == "pass"
+        assert [status for _, status, _ in conditions] == ["pass", "pass", "pass"]
+        assert [name for name, _, _ in conditions] == ["slope", "section-vanishing", "c2-bound"]
 
     def test_slope_boundary_fails(self):
-        v = validate(P1P1, (1, 1), (0, 0), (0, 0), 8)
-        assert not v.passed
-        assert [c.status for c in v.conditions] == ["fail", "pass", "pass"]
+        outcome, conditions, _ = validate(P1P1, (1, 1), (0, 0), (0, 0), 8)
+        assert outcome == "fail"
+        assert [status for _, status, _ in conditions] == ["fail", "pass", "pass"]
 
     def test_passing_example_genus_two(self):
-        v = validate(G22, (1, 1), (1, 1), (3, 3), 0)
-        assert v.passed
+        assert validate(G22, (1, 1), (1, 1), (3, 3), 0)[0] == "pass"
 
     def test_c2_floor_fails(self):
-        v = validate(P1P1, (1, 1), (0, 0), (2, 2), -9)
-        assert not v.passed
-        assert statuses(v)["c2-bound"] == "fail"
+        s = (P1P1, (1, 1), (0, 0), (2, 2), -9)
+        assert validate(*s)[0] == "fail"
+        assert statuses(s)["c2-bound"] == "fail"
 
     def test_vanishing_fail_when_sections_pinned(self):
         # K + R - 2L of bidegree (2, 2) on the lines has h0 = 9
-        v = validate(P1P1, (1, 1), (8, 8), (2, 2), 100)
-        assert statuses(v)["section-vanishing"] == "fail"
+        assert statuses((P1P1, (1, 1), (8, 8), (2, 2), 100))["section-vanishing"] == "fail"
 
     def test_vanishing_fail_when_lower_bound_positive(self):
         # K + R - 2L of bidegree (2, 2) on genus (2, 2): middle range, but
         # the Euler characteristic already forces a section on each factor
-        v = validate(G22, (1, 1), (4, 4), (2, 2), 100)
-        assert statuses(v)["section-vanishing"] == "fail"
+        assert statuses((G22, (1, 1), (4, 4), (2, 2), 100))["section-vanishing"] == "fail"
 
     def test_vanishing_undecidable_in_middle_range(self):
         # K + R - 2L of bidegree (1, 1) on genus (2, 2) is middle range
         # with section count bounded to [0..2] per factor
-        v = validate(G22, (1, 1), (3, 3), (2, 2), 100)
-        assert statuses(v)["section-vanishing"] == "undecidable"
-        assert not v.passed
+        s = (G22, (1, 1), (3, 3), (2, 2), 100)
+        assert statuses(s) == {
+            "slope": "pass", "section-vanishing": "undecidable", "c2-bound": "pass"
+        }
+        assert validate(*s)[0] == "undecidable"
+
+    def test_fail_outranks_undecidable(self):
+        # slope fails while the vanishing check is undecidable
+        s = (G22, (1, 1), (4, 4), (1, 3), 100)
+        assert statuses(s)["section-vanishing"] == "undecidable"
+        assert validate(*s)[0] == "fail"
 
     def test_assumptions_recorded(self):
-        v = validate(P1P1, (1, 1), (0, 0), (2, 2), 8)
-        assert any("Cayley-Bacharach" in a for a in v.assumptions)
+        # a passing family's document states the assumption its bound rests on
+        assert "Cayley-Bacharach" in CAYLEY_BACHARACH
+        assert report(P1P1, (1, 1), (0, 0), (2, 2), 8)["assumptions"] == [CAYLEY_BACHARACH]
 
     def test_nonample_rejected(self):
         for ample in [(0, 1), (1, 0), (-1, 2)]:
@@ -80,22 +89,19 @@ class TestQLength:
             ((P1P1, (1, 1), (0, 0), (2, 2), 8), 16),
             ((G22, (1, 1), (1, 1), (3, 3), 0), 12),
         ]:
-            v = validate(*f)
-            assert v.passed and v.q_length == points
+            assert validate(*f)[::2] == ("pass", points)
 
     def test_boundary_is_zero(self):
         s = (P1P1, (1, 1), (0, 0), (2, 2), -8)
-        v = validate(*s)
-        assert v.passed and v.q_length == 0
+        assert validate(*s)[::2] == ("pass", 0)
         assert report(*s)["results"]["dim_lower_bound"]["value"] == 0
 
     def test_requires_valid_spec(self):
         # the verdict still counts the points, but a family that fails a
         # condition gets no bounds in the report
         s = (P1P1, (1, 1), (0, 0), (0, 0), 8)
-        v = validate(*s)
-        assert not v.passed and statuses(v)["slope"] == "fail"
-        assert v.q_length == 8
+        assert validate(*s)[::2] == ("fail", 8)
+        assert statuses(s)["slope"] == "fail"
         doc = report(*s)
         assert doc["results"] == {} and doc["verdicts"]["family_admissible"] == "fail"
 
@@ -103,8 +109,8 @@ class TestQLength:
         verdicts = [
             validate(P1P1, (1, 1), (0, 0), (3, 3), c2) for c2 in range(-15, 10)
         ]
-        assert all(v.passed for v in verdicts)
-        values = [v.q_length for v in verdicts]
+        assert all(outcome == "pass" for outcome, _, _ in verdicts)
+        values = [points for _, _, points in verdicts]
         diffs = {b - a for a, b in zip(values, values[1:])}
         assert diffs == {1}
 
@@ -114,8 +120,8 @@ class TestQLength:
                 sub = (l1, l2)
                 floor = -2 * l1 * l2
                 for c2 in range(floor, floor + 6):
-                    v = validate(P1P1, (1, 1), (0, 0), sub, c2)
-                    assert v.passed and (v.q_length == 0) == (c2 == floor)
+                    outcome, _, points = validate(P1P1, (1, 1), (0, 0), sub, c2)
+                    assert outcome == "pass" and (points == 0) == (c2 == floor)
 
 
 class TestDimLowerBound:
@@ -135,13 +141,13 @@ class TestDimLowerBound:
                     for r1 in (-2, 0, 1):
                         det = (r1, 0)
                         s = (surface, (1, 1), det, sub, 30)
-                        v = validate(*s)
-                        if not v.passed:
+                        outcome, _, points = validate(*s)
+                        if outcome != "pass":
                             continue
                         expected = 2 * (
                             30 + intersection(sub, sub) - intersection(sub, det)
                         )
-                        assert 2 * v.q_length == expected
+                        assert 2 * points == expected
                         assert report(*s)["results"]["dim_lower_bound"]["value"] == expected
                         checked += 1
         assert checked > 50
@@ -149,21 +155,18 @@ class TestDimLowerBound:
 
 class TestSelectTwist:
     def test_lines_example(self):
-        res = select_twist(P1P1, (1, 1), (0, 0), 0, 4)
-        assert res.t == 2
-        assert res.sub == (2, 2)
-        v = validate(P1P1, (1, 1), (0, 0), res.sub, 0)
-        assert v.passed and res.q_length == v.q_length == 8 >= 4
+        assert select_twist(P1P1, (1, 1), (0, 0), 0, 4) == (2, (2, 2), 8)
+        assert validate(P1P1, (1, 1), (0, 0), (2, 2), 0)[::2] == ("pass", 8)
 
     def test_vacuous_inequality_gives_t_one(self):
         # a <= c2 with every other condition already met at t = 1
-        res = select_twist(P1P1, (1, 1), (0, 0), 10, 4)
-        assert res.t == 1
+        t, _, _ = select_twist(P1P1, (1, 1), (0, 0), 10, 4)
+        assert t == 1
 
     def test_genus_two_scan(self):
-        res = select_twist(G22, (1, 1), (2, 0), 1, 10)
-        v = validate(G22, (1, 1), (2, 0), res.sub, 1)
-        assert v.passed and res.q_length == v.q_length >= 10
+        _, sub, points = select_twist(G22, (1, 1), (2, 0), 1, 10)
+        assert validate(G22, (1, 1), (2, 0), sub, 1)[::2] == ("pass", points)
+        assert points >= 10
 
     def test_bound_met_over_grid(self):
         for g in range(0, 5):
@@ -172,9 +175,9 @@ class TestSelectTwist:
                 for det in [(0, 0), (2, -1), (-3, 4)]:
                     for c2 in (-5, 0, 7):
                         for a in (1, 5, 20):
-                            res = select_twist(surface, h, det, c2, a)
-                            v = validate(surface, h, det, res.sub, c2)
-                            assert v.passed and res.q_length == v.q_length >= a
+                            t, sub, points = select_twist(surface, h, det, c2, a)
+                            assert sub == (t * h[0], t * h[1]) and points >= a
+                            assert validate(surface, h, det, sub, c2)[::2] == ("pass", points)
 
     def test_minimality(self):
         h2 = lambda h: intersection(h, h)
@@ -184,18 +187,16 @@ class TestSelectTwist:
                 return False
             if 2 * t * h2(h) <= intersection(h, det):
                 return False
-            return validate(surface, h, det, (t * h[0], t * h[1]), c2).passed
+            return validate(surface, h, det, (t * h[0], t * h[1]), c2)[0] == "pass"
 
         for g in (0, 2):
             surface = ProductSurface(g, g)
             for det in [(0, 0), (2, 0), (-1, 3)]:
                 for c2 in (-3, 0, 4):
                     for a in (1, 8, 20):
-                        res = select_twist(surface, (1, 1), det, c2, a)
-                        if res.t > 1:
-                            assert not conditions_hold(
-                                surface, (1, 1), det, c2, a, res.t - 1
-                            )
+                        t, _, _ = select_twist(surface, (1, 1), det, c2, a)
+                        if t > 1:
+                            assert not conditions_hold(surface, (1, 1), det, c2, a, t - 1)
 
     def test_scan_cap(self):
         with pytest.raises(PreconditionError):
