@@ -24,7 +24,6 @@ from .kuranishi import (
     component_report,
     homology_comparison_report,
     nonfiltrable_report,
-    shift_by_length,
     toy_domain_dim,
     toy_unstable_codim,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "moduli_real_dimension",
     "nonfiltrable_report",
     "select_twist",
-    "shift_by_length",
     "toy_domain_dim",
     "toy_unstable_codim",
     "validate",

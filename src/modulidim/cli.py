@@ -41,7 +41,6 @@ from .kuranishi import (
     component_report,
     homology_comparison_report,
     nonfiltrable_report,
-    shift_by_length,
     toy_domain_dim,
     toy_unstable_codim,
 )
@@ -51,7 +50,7 @@ from .surface import (
     PreconditionError,
     ProductSurface,
     c2_of_extension,
-    degree_wrt,
+    is_destabilizing,
     kunneth_h,
     moduli_real_dimension,
 )
@@ -73,7 +72,7 @@ _LEDGER_FIELDS = (
 )
 _CHI_DERIVED = frozenset({"margin", "margin_stated"})
 # Sweep rows show ``t_o`` and these ledger fields: the first tuple holds those
-# that ``shift_by_length`` leaves unchanged, the second those it moves.
+# that do not depend on the quotient length, the second those that do.
 _SWEEP_UNSHIFTED_FIELDS = ("codim", "equations", "margin")
 _SWEEP_SHIFTED_FIELDS = ("t_u", "t_s", "c2")
 _COMPARE_FIELDS = ("margin", "margin_stated", "c2")
@@ -133,8 +132,9 @@ def _kuranishi_doc(args) -> tuple[dict, int]:
     return doc, EXIT_OK if report.margin_established else EXIT_NOT_ESTABLISHED
 
 
-def _toy_doc(m: int, n: int) -> dict:
-    c2 = c2_of_extension((m, n), (-m, -n), 0)
+def _toy_doc(args) -> tuple[dict, int]:
+    m, n = args.m, args.n
+    c2 = c2_of_extension((m, n), 0)
     lines = ProductSurface(0, 0)
     return {
         "command": "report toy",
@@ -151,7 +151,7 @@ def _toy_doc(m: int, n: int) -> dict:
             "moduli_real_dim": _pv(moduli_real_dimension(c2, lines), "closed-form"),
         },
         "discrepancy_ledger": [discrepancies.c2_entry(m, n, 0, c2)],
-    }
+    }, EXIT_OK
 
 
 def _compare_doc(args) -> tuple[dict, int]:
@@ -226,7 +226,7 @@ def _unstable_doc(args) -> tuple[dict, int]:
         }
         doc["verdicts"] = {"bound_met": 2 * points >= 2 * args.a}
         doc["discrepancy_ledger"] = [
-            discrepancies.twist_inequality_entry(args.H, args.R, args.c2, args.a, t)
+            discrepancies.twist_inequality_entry(args.c2, args.a, points)
         ]
         return doc, EXIT_OK
 
@@ -334,10 +334,10 @@ def parse_sweep_config(text: str) -> dict:
 def _sweep_doc(config: dict) -> tuple[dict, int]:
     """One row per grid point ``(m, n, l)``, sorted: every range ascends, so
     the nested loops already visit the points in lexicographic order. The
-    split ledger does not depend on ``l``: it is computed once per
-    ``(m, n)`` and shifted by each ``l``. Its entries that the shift leaves
-    unchanged are built once per ``(m, n)``, and ``t_o``, which depends only
-    on ``l`` and the genera, once per ``l``; rows share those dicts."""
+    split ledger is computed once per ``(m, n)`` and taken to each length
+    ``l``. Its entries that do not depend on ``l`` are built once per
+    ``(m, n)``, and ``t_o``, which depends only on ``l`` and the genera, once
+    per ``l``; rows share those dicts."""
     surface = ProductSurface(config["g1"], config["g2"])
     w = Polarization(config["alpha"], config["beta"])
     t_o_by_length: dict[int, dict] = {}
@@ -346,7 +346,7 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
     for m in config["m_range"]:
         for n in config["n_range"]:
             split = None
-            if degree_wrt((m, n), w) < 0:
+            if not is_destabilizing((m, n), w):
                 skipped = "not-destabilizing"
             elif m < 1:
                 skipped = "outside-validity: needs m >= 1"
@@ -357,7 +357,7 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
                 if split is None:
                     rows.append({"m": m, "n": n, "l": l, "status": skipped})
                     continue
-                report = shift_by_length(split, l)
+                report = split.at_length(l)
                 t_o = t_o_by_length.get(l)
                 if t_o is None:
                     t_o = t_o_by_length[l] = _pv(report.t_o, "closed-form")
@@ -603,8 +603,7 @@ def build_parser() -> _Parser:
     _leaf(rsub, "split", "ledger around a split bundle", _kuranishi_doc, *ledger, l=0)
     _leaf(rsub, "nonfiltrable", "ledger around a nonfiltrable bundle", _kuranishi_doc,
           *ledger, "--l")
-    _leaf(rsub, "toy", "closed forms for a product of two lines",
-          lambda args: (_toy_doc(args.m, args.n), EXIT_OK), "--m", "--n")
+    _leaf(rsub, "toy", "closed forms for a product of two lines", _toy_doc, "--m", "--n")
     pair = {"type": _pair_arg, "metavar": "a,b",
             "help": "a class a,b; with a negative first entry write --%(dest)s=-2,0"}
     _leaf(rsub, "unstable", "totally unstable family bounds", _unstable_doc,

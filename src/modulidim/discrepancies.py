@@ -6,15 +6,14 @@ what exact computation gives; every report touching one of them carries a
 ledger entry showing the stated form, the form actually used, the two
 values for the inputs at hand, and the relation that keeps the original
 conclusions intact. Used values, and the stated ``nu1`` and margin, are
-read from the report that computes them; the stated ``c2`` and
-twist-inequality forms, and the twist inequality's intersection numbers,
-are evaluated here.
+read from the report that computes them, and the twist inequality's from
+the point count; the stated ``c2`` and twist-inequality forms are
+evaluated here.
 """
 
 from __future__ import annotations
 
 from .kuranishi import KuranishiReport
-from .surface import Pair, intersection
 
 
 def ledger(report: KuranishiReport) -> list[dict]:
@@ -61,24 +60,22 @@ def c2_entry(m: int, n: int, l: int, c2: int) -> dict:
     }
 
 
-def twist_inequality_entry(ample: Pair, det: Pair, c2: int, a: int, t: int) -> dict:
-    """The degree inequality selecting the twist exponent, with ``H^2`` and
-    ``H.R`` taken from the ample class ``H`` and the class ``R``.
+def twist_inequality_entry(c2: int, a: int, q_length: int) -> dict:
+    """The degree inequality selecting the twist exponent ``t``, read from
+    the point count ``q_length = c2 + t^2 H^2 - t H.R`` of ``L = t H``.
 
     The stated form forces a negative point count, contradicting the
     nonnegativity of the quotient length; the corrected orientation makes
     the point count at least ``a`` and hence the family at least
     ``2a``-dimensional, which is the claimed conclusion.
     """
-    h2 = intersection(ample, ample)
-    hr = intersection(ample, det)
     return {
         "id": "twist-degree-inequality",
         "anchor": "twist selection for totally unstable families",
         "stated_formula": "-t^2*H^2 + t*H.R >= c2 + a",
         "used_formula": "t^2*H^2 - t*H.R >= a - c2",
-        "stated_value": -t * t * h2 + t * hr,
-        "used_value": t * t * h2 - t * hr,
+        "stated_value": c2 - q_length,
+        "used_value": q_length - c2,
         "stated_threshold": c2 + a,
         "used_threshold": a - c2,
         "relation": (

@@ -31,7 +31,6 @@ from .surface import (
     PreconditionError,
     ProductSurface,
     c2_of_extension,
-    degree_wrt,
     is_destabilizing,
     kunneth_h,
 )
@@ -61,20 +60,37 @@ class KuranishiReport(Record):
     """Per-component dimension ledger for one unstable stratum: the inputs
     and four Kunneth dimensions are stored, every other entry is derived."""
 
-    __slots__ = ("g1", "g2", "m", "n", "q_length", "t_u", "comp_i_target", "codim", "equations")
+    __slots__ = ("g1", "g2", "m", "n", "q_length", "h1_square", "comp_i_target", "codim", "equations")
 
-    # own __init__: the 39,600-row sweep builds 20,130 reports, at half Record.__init__'s cost
+    # own __init__: the 39,600-row sweep builds 21,960 reports, at half Record.__init__'s cost
     def __init__(self, g1: int, g2: int, m: int, n: int, q_length: int,
-                 t_u: Dim, comp_i_target: Dim, codim: Dim, equations: Dim):
+                 h1_square: Dim, comp_i_target: Dim, codim: Dim, equations: Dim):
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q_length", q_length)
-        object.__setattr__(self, "t_u", t_u)
+        object.__setattr__(self, "h1_square", h1_square)
         object.__setattr__(self, "comp_i_target", comp_i_target)
         object.__setattr__(self, "codim", codim)
         object.__setattr__(self, "equations", equations)
+
+    def at_length(self, l: int) -> KuranishiReport:
+        """The same stratum with quotient length ``l``; ``l = 0`` is the split
+        ledger. No stored entry but ``q_length`` depends on ``l``, so a caller
+        walking several lengths builds the ledger once and re-lengths it."""
+        if l < 0:
+            raise PreconditionError("q_length must be >= 0")
+        return KuranishiReport(self.g1, self.g2, self.m, self.n, l,
+                               self.h1_square, self.comp_i_target, self.codim, self.equations)
+
+    @property
+    def t_u(self) -> Dim:
+        """h^1 of the square, plus the part of the quotient length that h^2
+        of the square does not absorb, up to h^1 plus the full length: at
+        ``l = 0`` it is ``h1_square``."""
+        l, h1 = self.q_length, self.h1_square
+        return Dim(h1.lower + l - min(l, self.comp_i_target.upper), h1.upper + l)
 
     # With m >= 1 the first-factor inverse square has no sections, so the
     # Kunneth h^1 and h^2 of the inverse square are nu1 times the second
@@ -124,7 +140,7 @@ class KuranishiReport(Record):
 
     @property
     def c2(self) -> int:
-        return c2_of_extension((self.m, self.n), (-self.m, -self.n), self.q_length)
+        return c2_of_extension((self.m, self.n), self.q_length)
 
     @property
     def margin_exceeds_c2(self) -> bool:
@@ -136,7 +152,7 @@ class KuranishiReport(Record):
 
     @property
     def t_u_established(self) -> bool:
-        """The shifted ``t_u`` is exact when ``h^2`` of the square vanishes."""
+        """``t_u`` is exact when ``h^2`` of the square vanishes."""
         return self.q_length == 0 or self.comp_i_target.upper == 0
 
     @property
@@ -241,9 +257,9 @@ def component_report(surface: ProductSurface, m: int, n: int, w: Polarization) -
         )
     if m < 1:
         raise PreconditionError(f"the ledger requires m >= 1, got m = {m}")
-    _, t_u, comp_i_target = kunneth_h(surface, (2 * m, 2 * n))
+    _, h1_square, comp_i_target = kunneth_h(surface, (2 * m, 2 * n))
     _, codim, equations = kunneth_h(surface, (-2 * m, -2 * n))
-    return KuranishiReport(surface.g1, surface.g2, m, n, 0, t_u, comp_i_target, codim, equations)
+    return KuranishiReport(surface.g1, surface.g2, m, n, 0, h1_square, comp_i_target, codim, equations)
 
 
 def nonfiltrable_report(
@@ -252,42 +268,9 @@ def nonfiltrable_report(
     """Dimension ledger around a nonfiltrable bundle: an extension of a
     rank-1 torsion-free sheaf by the destabilizing bundle of bidegree
     ``(m, n)``, whose point-supported quotient has total length ``l``. It is
-    the split ledger (:func:`component_report`) shifted by ``l``
-    (:func:`shift_by_length`); ``l = 0`` gives the split ledger itself."""
-    return shift_by_length(component_report(surface, m, n, w), l)
-
-
-def shift_by_length(split: KuranishiReport, l: int) -> KuranishiReport:
-    """The nonfiltrable ledger with quotient length ``l`` over a split ledger.
-
-    Of the stored entries only ``t_u`` depends on ``l``; the derived ones
-    (``t_o``, ``t_s``, ``c2``, the verdicts) follow from the new
-    ``q_length``, and the margin is unchanged. The split ledger does not
-    depend on ``l``, so a caller walking several lengths over one stratum
-    computes it once and shifts it per length.
-    """
-    if l < 0:
-        raise PreconditionError("q_length must be >= 0")
-    if split.q_length != 0:
-        raise PreconditionError("only a split ledger (q_length 0) can be shifted")
-    if l == 0:
-        return split
-
-    # Exactness pins t_u between h1 of the square plus the part of the
-    # length not absorbed by h2 of the square, and h1 plus the full length;
-    # it stays exact (t_u_established) when that h2 vanishes.
-    absorbed = min(l, split.comp_i_target.upper)
-    return KuranishiReport(
-        g1=split.g1,
-        g2=split.g2,
-        m=split.m,
-        n=split.n,
-        q_length=l,
-        t_u=Dim(split.t_u.lower + l - absorbed, split.t_u.upper + l),
-        comp_i_target=split.comp_i_target,
-        codim=split.codim,
-        equations=split.equations,
-    )
+    the split ledger (:func:`component_report`) at length ``l``
+    (:meth:`KuranishiReport.at_length`); ``l = 0`` gives the split ledger."""
+    return component_report(surface, m, n, w).at_length(l)
 
 
 def enumerate_strata(
@@ -318,7 +301,7 @@ def enumerate_strata(
             continue
         reach = min(bound, c2 // (2 * abs(m)))
         for n in range(1, reach + 1) if m < 0 else range(-reach, 0):
-            if degree_wrt((m, n), w) >= 0:
+            if is_destabilizing((m, n), w):
                 mixed.append((m, n, c2 + 2 * m * n, "standard" if m >= 1 else "swapped"))
     excluded = [
         {"m": m, "n": n, "l": c2 + 2 * m * n}

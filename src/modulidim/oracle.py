@@ -31,6 +31,19 @@ class OracleCheckError(RuntimeError):
     the answer, or a resolution differential expected to vanish did not."""
 
 
+def _stable(dims, args: tuple, need: int, N: int | None, what: str) -> tuple:
+    """``(*dims(*args, N), N)`` at the window ``N``, ``need`` by default and
+    refused below it, checked against window ``N + 1``."""
+    if N is None:
+        N = need
+    if N < need:
+        raise ValueError(f"need N >= {need} for {what}, got {N}")
+    h = dims(*args, N)
+    if h != dims(*args, N + 1):
+        raise OracleCheckError(f"{what} not stabilized at window {N}")
+    return (*h, N)
+
+
 def _chart_exponents(chart: int, k: int, N: int) -> range:
     """Window-truncated exponents of chart sections of the degree-k sheaf.
 
@@ -64,15 +77,7 @@ def cech_h_p1(k: int, N: int | None = None) -> tuple[int, int, int]:
     Requires ``N >= |k| + 2``, the default, so that the window contains
     every true cohomology class.
     """
-    need = abs(k) + 2
-    if N is None:
-        N = need
-    if N < need:
-        raise ValueError(f"need N >= {need} for degree {k}, got {N}")
-    h = _p1_dims(k, N)
-    if h != _p1_dims(k, N + 1):
-        raise OracleCheckError(f"degree {k} not stabilized at window {N}")
-    return (*h, N)
+    return _stable(_p1_dims, (k,), abs(k) + 2, N, f"degree {k}")
 
 
 def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
@@ -132,15 +137,7 @@ def cech_h_product(a: int, b: int, N: int | None = None) -> tuple[int, int, int,
     Exponents are truncated to ``[-N, N]``; requires
     ``N >= max(|a|, |b|) + 2``, the default.
     """
-    need = max(abs(a), abs(b)) + 2
-    if N is None:
-        N = need
-    if N < need:
-        raise ValueError(f"need N >= {need} for bidegree ({a}, {b}), got {N}")
-    h = _product_dims(a, b, N)
-    if h != _product_dims(a, b, N + 1):
-        raise OracleCheckError(f"bidegree ({a}, {b}) not stabilized at window {N}")
-    return (*h, N)
+    return _stable(_product_dims, (a, b), max(abs(a), abs(b)) + 2, N, f"bidegree ({a}, {b})")
 
 
 def _multiplication_matrix(a: int, b: int, dx: int, dy: int) -> list[dict[int, int]]:

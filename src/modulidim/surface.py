@@ -85,20 +85,18 @@ def is_destabilizing(bundle: Pair, w: Polarization) -> bool:
     return degree_wrt(bundle, w) >= 0
 
 
-def c2_of_extension(
-    bundle: Pair,
-    quotient_reflexive_bidegree: Pair,
-    q_length: int,
-) -> int:
-    """Second Chern number of an extension of a rank-1 sheaf by a line bundle.
+def c2_of_extension(bundle: Pair, q_length: int) -> int:
+    """Second Chern number of an extension of a rank-1 sheaf by a line bundle,
+    with trivial determinant.
 
     The Whitney product rule gives the bidegree pairing of the sub and the
-    reflexive hull of the quotient; points where the quotient fails to be a
-    bundle add their total length.
+    reflexive hull of the quotient, which is the inverse of the sub; points
+    where the quotient fails to be a bundle add their total length.
     """
     if q_length < 0:
         raise PreconditionError("the quotient length must be >= 0")
-    return intersection(bundle, quotient_reflexive_bidegree) + q_length
+    a, b = bundle
+    return intersection(bundle, (-a, -b)) + q_length
 
 
 def moduli_real_dimension(c2: int, surface: ProductSurface) -> int:

@@ -6,6 +6,7 @@ pinned counterexamples, while the mathematically valid domains are asserted
 green. The analysis lives in the repository decision notes.
 """
 
+import argparse
 import json
 import time
 
@@ -47,7 +48,7 @@ def test_criterion_1_toy_exactness(capsys):
     start = time.monotonic()
     for m in range(1, 21):
         for n in range(-20, 0):
-            doc = _toy_doc(m, n)
+            doc, _ = _toy_doc(argparse.Namespace(m=m, n=n))
             assert doc["results"]["domain_dim"]["value"] == -8 * m * n - 2
             assert doc["results"]["codim"]["value"] == -4 * m * n - 1
             assert doc["results"]["c2"]["value"] == -2 * m * n

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modulidim.curves import h0_h1
 from modulidim.dims import Dim
@@ -8,7 +10,6 @@ from modulidim.kuranishi import (
     enumerate_strata,
     homology_comparison_report,
     nonfiltrable_report,
-    shift_by_length,
     toy_domain_dim,
     toy_unstable_codim,
 )
@@ -17,6 +18,7 @@ from modulidim.surface import (
     PreconditionError,
     ProductSurface,
     is_destabilizing,
+    kunneth_h,
 )
 from reference import (
     BidegreeBundle,
@@ -346,12 +348,24 @@ class TestNonfiltrable:
         with pytest.raises(PreconditionError):
             nonfiltrable_report(*split(G22, 3, -2), -1)
         with pytest.raises(PreconditionError):
-            shift_by_length(component_report(*split(G22, 3, -2)), -1)
+            component_report(*split(G22, 3, -2)).at_length(-1)
 
-    def test_shift_needs_a_split_ledger(self):
-        shifted = shift_by_length(component_report(*split(G23, 2, -1)), 2)
-        with pytest.raises(PreconditionError):
-            shift_by_length(shifted, 1)
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 4), st.integers(0, 4), st.integers(1, 6), st.integers(-6, -1),
+        st.integers(1, 6), st.integers(1, 6), st.integers(0, 8), st.integers(0, 8),
+    )
+    def test_at_length_composes_over_the_stored_square(self, g1, g2, m, n, alpha, beta, l, l2):
+        surface, w = ProductSurface(g1, g2), Polarization(alpha, beta)
+        assume(is_destabilizing((m, n), w))
+        r = component_report(surface, m, n, w)
+        assert r.at_length(l).at_length(l2) == r.at_length(l2)
+        report = nonfiltrable_report(surface, m, n, w, l)
+        _, h1, h2 = kunneth_h(surface, (2 * m, 2 * n))
+        assert report.h1_square == h1
+        # h1 of the square plus the length that h2 of the square leaves
+        # unabsorbed, up to h1 plus the full length
+        assert report.t_u == Dim(h1.lower + l - min(l, h2.upper), h1.upper + l)
 
 
 class TestComparisonReport:

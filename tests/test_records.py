@@ -25,7 +25,7 @@ _REPORT = component_report(_SURFACE, 1, -1, _POLARIZATION)
 _SURFACE_REPR = "ProductSurface(g1=0, g2=2)"
 _POLARIZATION_REPR = "Polarization(alpha=2, beta=1)"
 _REPORT_REPR = (
-    "KuranishiReport(g1=0, g2=2, m=1, n=-1, q_length=0, t_u=Dim(9), "
+    "KuranishiReport(g1=0, g2=2, m=1, n=-1, q_length=0, h1_square=Dim(9), "
     "comp_i_target=Dim(0), codim=Dim[1..3], equations=Dim[0..2])"
 )
 _GENERIC = "<Triviality.GENERIC: 'generic'>"

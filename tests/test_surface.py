@@ -126,9 +126,9 @@ class TestDegreeAndStability:
 
 class TestChernAndTopology:
     def test_c2_of_extension(self):
-        assert c2_of_extension((1, -1), (-1, 1), 0) == 2
-        assert c2_of_extension((2, -3), (-2, 3), 5) == 17
-        assert c2_of_extension((0, 0), (0, 0), 7) == 7
+        assert c2_of_extension((1, -1), 0) == 2
+        assert c2_of_extension((2, -3), 5) == 17
+        assert c2_of_extension((0, 0), 7) == 7
 
     def test_surface_topology(self):
         # at c2 = 0 the dimension is -3 (1 - b1 + b2_minus): (b1, b2_minus)
