@@ -9,8 +9,12 @@ Every oracle ranks through the sparse routine, keyed on dict-encoded rows
 (or columns: rank is unchanged under transpose). The oracle matrices are
 large but have only one or two nonzero entries per row, so the sparse
 routine settles a one-entry row without arithmetic and reduces only rows
-that meet a pivot with more than one entry. The dense routine is kept as an
-independent reference that the tests check it against.
+that meet a pivot with more than one entry. It reads its rows once, from
+any iterable (the chart-complex oracles pass generators), and keeps only
+its pivots: a one-entry pivot as its column in a set, a longer one as its
+row. Memory is therefore O(rank), not O(size of the matrix). The dense
+routine is kept as an independent reference that the tests check it
+against.
 """
 
 from __future__ import annotations
@@ -59,30 +63,36 @@ def dense_rank(rows: list[list[int]]) -> int:
 def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank of an integer matrix given as sparse rows ``{column: value}``.
 
-    Maintains a pivot row per leading column; each incoming row is reduced
-    against existing pivots until it either empties out or claims a fresh
-    leading column, divided by the gcd of its entries. A one-entry row
-    becomes a pivot of +1 or -1 at once, or vanishes against a one-entry pivot.
+    ``rows`` may be any iterable, a generator included; it is read once,
+    row by row, and only the pivots are kept, so memory is O(rank). Each
+    incoming row is reduced against the pivots until it either empties out
+    or claims a fresh leading column, divided by the gcd of its entries. A
+    one-entry row needs no entries kept: it claims its column in the set of
+    unit leads (as a pivot of +1 or -1 would) or vanishes against it, and a
+    longer row whose lead is a unit lead drops that entry.
     Rows are never modified: a row that holds a zero is copied without it,
     and a caller's row may be kept as a pivot as it is.
     """
+    units: set[int] = set()
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         if len(row) > 1 and 0 in row.values():
             row = {c: v for c, v in row.items() if v != 0}
         while row:
             if len(row) == 1:
-                [(lead, v)] = row.items()
-                if v == 0:
+                [lead] = row
+                if lead in units or row[lead] == 0:
                     break
-                pivot = pivots.get(lead)
+                pivot = pivots.get(lead) if pivots else None
                 if pivot is None:
-                    pivots[lead] = row if v == 1 or v == -1 else {lead: 1 if v > 0 else -1}
-                    break
-                if len(pivot) == 1:
+                    units.add(lead)
                     break
             else:
                 lead = min(row)
+                if lead in units:
+                    # a unit lead clears the entry and touches nothing else
+                    row = {c: v for c, v in row.items() if c != lead}
+                    continue
                 pivot = pivots.get(lead)
                 if pivot is None:
                     g = 0
@@ -94,10 +104,6 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
                         row = {c: v // g for c, v in row.items()}
                     pivots[lead] = row
                     break
-                if len(pivot) == 1:
-                    # a one-entry pivot clears the lead and touches nothing else
-                    row = {c: v for c, v in row.items() if c != lead}
-                    continue
             p, v = pivot[lead], row[lead]
             g = gcd(p, v)
             a, b = p // g, v // g
@@ -110,4 +116,4 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
                     else:
                         del merged[c]
             row = merged
-    return len(pivots)
+    return len(units) + len(pivots)

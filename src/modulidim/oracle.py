@@ -12,9 +12,12 @@ Three oracles, all over exact integer arithmetic:
 Infinite section spaces are truncated to a monomial exponent window
 ``[-N, N]``. The chart complexes are sparse columns whose row indices are
 computed from the exponents (overlap exponent ``e`` is row ``e + N``, each
-block at a fixed offset), with no index tables. Every block size is taken
-from the length of an exponent range before any column is built, so a
-window too long for a machine word raises :class:`OverflowError` at once.
+block at a fixed offset), with no index tables. The columns are generated
+as the rank reads them, one differential after the other, and the rank
+keeps only its pivots (a one-entry pivot as its column in a set), so a
+chart complex takes O(rank) memory, not O(columns). Every block size is
+taken from the length of an exponent range before any column is built, so
+a window too long for a machine word raises :class:`OverflowError` at once.
 Correctness of a truncated answer is certified operationally:
 every result is recomputed at window ``N + 1``, and a change in any
 dimension raises :class:`OracleCheckError`, as does a Koszul differential
@@ -60,11 +63,14 @@ def _p1_dims(k: int, N: int) -> tuple[int, int]:
     exps1 = _chart_exponents(1, k, N)
     n0 = len(exps0) + len(exps1)
     n1 = len(range(-N, N + 1))
-    # One column per chart section; the differential is the restriction
-    # difference on the overlap, whose exponent e is row e + N.
-    columns = [{e + N: -1} for e in exps0]
-    columns += [{e + N: 1} for e in exps1]
-    rank = sparse_rank(columns)
+    # One column per chart section, generated as the rank reads it; the
+    # differential is the restriction difference on the overlap, whose
+    # exponent e is row e + N, so each chart's rows are a shifted range.
+    rank = sparse_rank(
+        {row: s}
+        for es, s in ((exps0, -1), (exps1, 1))
+        for row in range(es.start + N, es.stop + N)
+    )
     return n0 - rank, n1 - rank
 
 
@@ -103,30 +109,35 @@ def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
     n2 = w * w
 
     # d0: restrict each double-chart section to the two adjacent overlaps.
-    d0_cols = []
-    for cx, es in enumerate(x_charts):
-        for cy, fs in enumerate(y_charts):
-            sx, sy, size = sign[cx], sign[cy], y_sizes[cy]
-            for e in es:
-                x_row = x_offsets[cy] + (e + N) * size
-                y_row = y_offsets[cx] + (e - es.start) * w + N + fs.start
-                d0_cols += [{x_row + j: sx, y_row + j: sy} for j in range(size)]
+    # One block per chart pair and exponent e; its columns are generated
+    # only as the rank reads them, and d1 only after d0 is ranked.
+    d0_blocks = [
+        (x_offsets[cy] + (e + N) * y_sizes[cy],
+         y_offsets[cx] + (e - es.start) * w + N + fs.start,
+         sign[cx], sign[cy], y_sizes[cy])
+        for cx, es in enumerate(x_charts)
+        for cy, fs in enumerate(y_charts)
+        for e in es
+    ]
+    rank0 = sparse_rank(
+        {x_row + j: sx, y_row + j: sy}
+        for x_row, y_row, sx, sy, size in d0_blocks
+        for j in range(size)
+    )
     # d1: the remaining restrictions, with a sign twist on the y-part so
-    # that the composite with d0 vanishes.
-    d1_cols = []
-    for cy, fs in enumerate(y_charts):
-        s = sign[cy]
-        for e in overlap:
-            base = (e + N) * w + N
-            d1_cols += [{base + f: s} for f in fs]
-    for cx, es in enumerate(x_charts):
-        s = -sign[cx]
-        for e in es:
-            base = (e + N) * w
-            d1_cols += [{base + j: s} for j in range(w)]
-
-    rank0 = sparse_rank(d0_cols)
-    rank1 = sparse_rank(d1_cols)
+    # that the composite with d0 vanishes. Each block is a range of
+    # double-overlap rows, hit by one one-entry column each.
+    d1_blocks = [
+        (range((e + N) * w + N + fs.start, (e + N) * w + N + fs.stop), sign[cy])
+        for cy, fs in enumerate(y_charts)
+        for e in overlap
+    ]
+    d1_blocks += [
+        (range((e + N) * w, (e + N + 1) * w), -sign[cx])
+        for cx, es in enumerate(x_charts)
+        for e in es
+    ]
+    rank1 = sparse_rank({row: s} for rows, s in d1_blocks for row in rows)
     return n0 - rank0, n1 - rank0 - rank1, n2 - rank1
 
 

@@ -105,6 +105,28 @@ def test_every_traced_function_exists(monkeypatch):
         assert len(constructed) > before and constructed[-1] is made
 
 
+def test_traced_oracles_print_what_untraced_ones_do():
+    # the benchmark's --trace 1 run calls the CLI through Tracer, whose
+    # sparse_rank wrapper counts entries by reading the generated columns
+    # into a list before the rank sees them
+    path = TESTS.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("modulidim_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    commands = [
+        ("oracle", "product", "--a", "3", "--b", "-4"),
+        ("oracle", "p1", "--k", "9"),
+    ]
+    untraced = [tracer.run_in_process(args) for args in commands]
+    traced = tracer.Tracer()
+    with traced:
+        assert [tracer.run_in_process(args) for args in commands] == untraced
+    assert [code for code, _ in untraced] == [0, 0]
+    metrics = traced.layer_metrics()
+    assert metrics["linalg.sparse_rank.calls"] == 6
+    assert metrics["linalg.sparse_rank.entries"] > 0
+
+
 # Runs in a ``python -S`` child, so that no site ``.pth`` file loads modules
 # first, and prints the modules that ``import modulidim.cli`` adds outside
 # the package, then those it adds inside it.
