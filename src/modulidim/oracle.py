@@ -108,36 +108,37 @@ def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
     n1 = w * (sum(y_sizes) + sum(x_sizes))
     n2 = w * w
 
-    # d0: restrict each double-chart section to the two adjacent overlaps.
-    # One block per chart pair and exponent e; its columns are generated
-    # only as the rank reads them, and d1 only after d0 is ranked.
-    d0_blocks = [
-        (x_offsets[cy] + (e + N) * y_sizes[cy],
-         y_offsets[cx] + (e - es.start) * w + N + fs.start,
-         sign[cx], sign[cy], y_sizes[cy])
-        for cx, es in enumerate(x_charts)
-        for cy, fs in enumerate(y_charts)
-        for e in es
-    ]
-    rank0 = sparse_rank(
-        {x_row + j: sx, y_row + j: sy}
-        for x_row, y_row, sx, sy, size in d0_blocks
-        for j in range(size)
-    )
-    # d1: the remaining restrictions, with a sign twist on the y-part so
-    # that the composite with d0 vanishes. Each block is a range of
-    # double-overlap rows, hit by one one-entry column each.
-    d1_blocks = [
-        (range((e + N) * w + N + fs.start, (e + N) * w + N + fs.stop), sign[cy])
-        for cy, fs in enumerate(y_charts)
-        for e in overlap
-    ]
-    d1_blocks += [
-        (range((e + N) * w, (e + N + 1) * w), -sign[cx])
-        for cx, es in enumerate(x_charts)
-        for e in es
-    ]
-    rank1 = sparse_rank({row: s} for rows, s in d1_blocks for row in rows)
+    def d0_columns():
+        # restrict each double-chart section to the two adjacent overlaps
+        for cx, es in enumerate(x_charts):
+            for cy, fs in enumerate(y_charts):
+                sx, sy, size = sign[cx], sign[cy], y_sizes[cy]
+                for e in es:
+                    x_row = x_offsets[cy] + (e + N) * size
+                    y_row = y_offsets[cx] + (e - es.start) * w + N + fs.start
+                    for j in range(size):
+                        yield {x_row + j: sx, y_row + j: sy}
+
+    def d1_columns():
+        # the remaining restrictions, with a sign twist on the y-part so
+        # that the composite with d0 vanishes
+        for cy, fs in enumerate(y_charts):
+            s = sign[cy]
+            for e in overlap:
+                base = (e + N) * w + N
+                for f in fs:
+                    yield {base + f: s}
+        for cx, es in enumerate(x_charts):
+            s = -sign[cx]
+            for e in es:
+                base = (e + N) * w
+                for j in range(w):
+                    yield {base + j: s}
+
+    # the columns are generated only as the rank reads them, and d1 only
+    # after d0 is ranked
+    rank0 = sparse_rank(d0_columns())
+    rank1 = sparse_rank(d1_columns())
     return n0 - rank0, n1 - rank0 - rank1, n2 - rank1
 
 

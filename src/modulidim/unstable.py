@@ -11,8 +11,6 @@ unstable bundles of dimension at least twice the point count,
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .curves import canonical_degree
 from .surface import Pair, PreconditionError, ProductSurface, intersection, kunneth_h
 
@@ -86,25 +84,6 @@ def validate(
 _MAX_T = 10_000
 
 
-def _first_candidate(ample: Pair, det: Pair, c2: int, a: int) -> int:
-    """Least ``t >= 1`` with ``2 t H^2 > H.R`` and ``c2 + t^2 H^2 - t H.R >= a``,
-    the slope and point-count conditions of ``L = t H``; 1 when ``H`` is not
-    ample, so that :func:`validate` refuses it.
-
-    With ``u = 2 t H^2 - H.R`` the point count is ``a + (u^2 - D) / 4 H^2``
-    for ``D = H.R^2 - 4 H^2 (c2 - a)``, so both conditions together say
-    ``u >= 1`` and ``u^2 >= D``. They hold on a ray of ``t``, since ``u``
-    grows with ``t``; no smaller ``t`` can pass.
-    """
-    if ample[0] <= 0 or ample[1] <= 0:
-        return 1
-    h2, hr = intersection(ample, ample), intersection(ample, det)
-    d = hr * hr - 4 * h2 * (c2 - a)
-    # the least u >= 1 with u^2 >= d
-    u = isqrt(d - 1) + 1 if d > 1 else 1
-    return max(1, -(-(hr + u) // (2 * h2)))
-
-
 def select_twist(
     surface: ProductSurface, ample: Pair, det: Pair, c2: int, a: int
 ) -> tuple[int, Pair, int]:
@@ -113,13 +92,12 @@ def select_twist(
     Takes ``L = t H`` and returns ``(t, L, q_length)`` for the first ``t``
     whose family passes :func:`validate` with a point count of at least
     ``a``. Such a ``t`` always exists since the quadratic term of the point
-    count ``c2 + t^2 H^2 - t H.R`` dominates; the scan starts at
-    :func:`_first_candidate` and stops at ``t = _MAX_T`` (10,000) only as a
-    guard.
+    count ``c2 + t^2 H^2 - t H.R`` dominates; the scan stops at
+    ``t = _MAX_T`` (10,000) only as a guard.
     """
     if a < 1:
         raise PreconditionError(f"the dimension target must be >= 1, got {a}")
-    for t in range(_first_candidate(ample, det, c2, a), _MAX_T + 1):
+    for t in range(1, _MAX_T + 1):
         sub = (t * ample[0], t * ample[1])
         outcome, _, points = validate(surface, ample, det, sub, c2)
         if outcome == "pass" and points >= a:

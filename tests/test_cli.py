@@ -236,13 +236,12 @@ class TestUnstableReport:
 
     @pytest.mark.parametrize("flags,points,subs", [
         (("--L", "2,2", "--c2", "8"), 16, [(2, 2)]),
-        (("--c2", "0", "--select-t", "--a", "4"), 8, [(2, 2)]),
+        (("--c2", "0", "--select-t", "--a", "4"), 8, [(1, 1), (2, 2)]),
     ], ids=["L", "select-t"])
     def test_validates_once_per_command(self, capsys, monkeypatch, flags, points, subs):
         # --L validates its family once; --select-t validates each candidate
-        # t H from the least t whose point count reaches a up to the one it
-        # chooses: t = 1 has 2 points, short of a = 4, so the scan starts at
-        # t = 2, which passes with 8
+        # t H up to the one it chooses: t = 1 passes with 2 points, short of
+        # a = 4, and t = 2 passes with 8
         calls = []
 
         def counted(surface, ample, det, sub, c2):

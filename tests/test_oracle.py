@@ -49,26 +49,10 @@ def _oracle_shaped_rows(draw):
     row object may also recur in the list."""
     ncols = draw(st.integers(1, 6))
     column = st.integers(0, ncols - 1)
-    value = st.one_of(st.sampled_from([1, -1]), st.just(0), st.sampled_from([-6, -4, 2, 4, 6]))
+    value = st.one_of(st.sampled_from([1, -1]), st.just(0), st.sampled_from([-6, -4, -2, 2, 4, 6]))
     rows = draw(st.lists(st.dictionaries(column, value, min_size=1, max_size=2), max_size=12))
     if rows and draw(st.booleans()):
         rows.append(rows[draw(st.integers(0, len(rows) - 1))])
-    return ncols, rows
-
-
-@st.composite
-def _streamed_rows(draw):
-    """Oracle-shaped rows with one-entry rows of value 2 or -2 and rows that
-    hold a zero inserted at drawn places."""
-    ncols, rows = draw(_oracle_shaped_rows())
-    column = st.integers(0, ncols - 1)
-    twos = st.builds(lambda c, v: {c: v}, column, st.sampled_from([2, -2]))
-    zeros = st.builds(
-        lambda c, d, v: {c: v, d: 0} if c != d else {c: 0},
-        column, column, st.sampled_from([1, -1, 2, -2, 6]),
-    )
-    for row in draw(st.lists(st.one_of(twos, zeros), min_size=1, max_size=6)):
-        rows.insert(draw(st.integers(0, len(rows))), row)
     return ncols, rows
 
 
@@ -110,16 +94,10 @@ class TestRank:
         ncols, rows = drawn
         before = [dict(row) for row in rows]
         dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-        assert sparse_rank(rows) == dense_rank(dense)
+        # the chart complexes hand sparse_rank a generator, read once
+        assert sparse_rank(iter(rows)) == dense_rank(dense)
         # pivots may be the caller's rows; none of them is changed
         assert rows == before
-
-    @given(_streamed_rows())
-    def test_sparse_matches_dense_on_streamed_rows(self, drawn):
-        # the chart complexes hand sparse_rank a generator, read once
-        ncols, rows = drawn
-        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-        assert sparse_rank(iter(rows)) == dense_rank(dense)
 
 
 def _reference_p1_dims(k: int, N: int) -> tuple[int, int]:

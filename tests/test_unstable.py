@@ -1,13 +1,9 @@
 import contextlib
 import io
 import json
-from unittest import mock
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-import modulidim.unstable as unstable_module
 from modulidim.cli import main
 from modulidim.surface import PreconditionError, ProductSurface, intersection
 from modulidim.unstable import CAYLEY_BACHARACH, select_twist, validate
@@ -206,62 +202,3 @@ class TestSelectTwist:
         with pytest.raises(PreconditionError):
             # t^2 H^2 >= a needs t > 22,000, past the scan's cap of 10,000
             select_twist(P1P1, (1, 1), (0, 0), 0, 10**9)
-
-
-def _scan_from_one(surface, ample, det, c2, a):
-    """:func:`select_twist` as a plain scan from ``t = 1``, the reference
-    for where the scan starts; its result or its error message."""
-    if a < 1:
-        return f"the dimension target must be >= 1, got {a}"
-    try:
-        for t in range(1, unstable_module._MAX_T + 1):
-            sub = (t * ample[0], t * ample[1])
-            outcome, _, points = validate(surface, ample, det, sub, c2)
-            if outcome == "pass" and points >= a:
-                return t, sub, points
-    except PreconditionError as exc:
-        return str(exc)
-    return f"no admissible twist found with t <= {unstable_module._MAX_T}"
-
-
-class TestTwistStart:
-    @given(
-        st.integers(0, 3), st.integers(0, 3),
-        st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
-        st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
-        st.integers(-60, 60), st.integers(0, 400),
-        st.sampled_from([1, 2, 3, 8, 40, unstable_module._MAX_T]),
-    )
-    def test_same_result_as_a_scan_from_one(self, g1, g2, ample, det, c2, a, cap):
-        # a lowered cap puts the start past it in many draws, so the error
-        # raised at once is compared with the scan's as well
-        surface = ProductSurface(g1, g2)
-        with mock.patch.object(unstable_module, "_MAX_T", cap):
-            want = _scan_from_one(surface, ample, det, c2, a)
-            try:
-                got = select_twist(surface, ample, det, c2, a)
-            except PreconditionError as exc:
-                got = str(exc)
-        assert got == want
-
-    def test_start_past_the_cap_validates_nothing(self):
-        # the least t with t^2 - 40,000 t >= 1 is 40,001, past the cap of 10,000
-        with mock.patch.object(unstable_module, "validate", wraps=validate) as counted:
-            with pytest.raises(PreconditionError, match="no admissible twist found with t <= 10000"):
-                select_twist(P1P1, (1, 1), (40000, 0), 0, 1)
-        assert counted.call_count == 0
-
-    def test_start_is_the_least_candidate(self):
-        # with H = (1, 1), H^2 = 2 and H.R = r1 + r2: the slope needs
-        # 4 t > H.R, and the point count is c2 + 2 t^2 - t H.R; at H.R = 4
-        # the slope alone, strict, sets the start
-        def candidate(hr, c2, a, t):
-            return 4 * t > hr and c2 + 2 * t * t - t * hr >= a
-
-        for det, c2, a, start in [
-            ((7, 0), 0, 1, 4), ((7, 0), 10, 1, 2), ((7, 0), 0, 6, 5), ((7, 0), 3, 3, 4),
-            ((7, 0), 0, 7, 5), ((4, 0), 10, 1, 2), ((0, 4), 2, 1, 2), ((-9, 0), -40, 1, 3),
-        ]:
-            assert unstable_module._first_candidate((1, 1), det, c2, a) == start
-            hr = sum(det)
-            assert candidate(hr, c2, a, start) and not candidate(hr, c2, a, start - 1)
