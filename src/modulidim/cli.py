@@ -186,7 +186,7 @@ def _compare_doc(args) -> tuple[dict, int]:
         },
         "results": {
             "strata": rows,
-            "excluded": list(comparison.excluded),
+            "excluded": [{"m": m, "n": n, "l": l} for m, n, l in comparison.excluded],
             "not_established": list(comparison.not_established),
             "min_margin": _pv(None if weakest is None else weakest.margin, "chi-derived"),
         },

@@ -3,8 +3,8 @@
 Cohomology dimension rules sometimes pin a value exactly and sometimes only
 constrain it. :class:`Dim` represents both outcomes in one immutable value:
 an exact nonnegative integer, or a finite interval of candidates. Interval
-arithmetic keeps derived quantities honest: sums and products of dimensions
-propagate bounds instead of guessing a representative.
+arithmetic keeps derived quantities honest: a sum of dimensions propagates
+bounds instead of guessing a representative.
 """
 
 from __future__ import annotations
@@ -114,14 +114,6 @@ class Dim(Record):
     def __add__(self, other: "Dim | int") -> "Dim":
         other = _as_dim(other)
         return Dim(self.lower + other.lower, self.upper + other.upper)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "Dim | int") -> "Dim":
-        other = _as_dim(other)
-        return Dim(self.lower * other.lower, self.upper * other.upper)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if self.is_exact:

@@ -275,7 +275,7 @@ def nonfiltrable_report(
 
 def enumerate_strata(
     surface: ProductSurface, w: Polarization, c2: int, bound: int
-) -> tuple[list[tuple[int, int, int, str]], list[dict]]:
+) -> tuple[list[tuple[int, int, int, str]], list[tuple[int, int, int]]]:
     """Destabilizing types ``(m, n, l)`` for the given ``c2`` inside the box.
 
     A type is admissible when its polarization degree is nonnegative and
@@ -286,7 +286,7 @@ def enumerate_strata(
     regime of families consisting only of unstable bundles, which are
     removed before the comparison; with positive ``alpha`` and ``beta`` the
     admissible ones are exactly the quadrant ``m, n >= 0``, returned
-    separately as ``{m, n, l}`` entries so nothing is silently skipped.
+    separately as ``(m, n, l)`` so nothing is silently skipped.
     Both lists are in ascending ``(m, n)`` order.
     """
     if c2 < 1:
@@ -303,11 +303,7 @@ def enumerate_strata(
         for n in range(1, reach + 1) if m < 0 else range(-reach, 0):
             if is_destabilizing((m, n), w):
                 mixed.append((m, n, c2 + 2 * m * n, "standard" if m >= 1 else "swapped"))
-    excluded = [
-        {"m": m, "n": n, "l": c2 + 2 * m * n}
-        for m in range(bound + 1)
-        for n in range(bound + 1)
-    ]
+    excluded = [(m, n, c2 + 2 * m * n) for m in range(bound + 1) for n in range(bound + 1)]
     return mixed, excluded
 
 

@@ -10,7 +10,8 @@ Every oracle ranks through the sparse routine, keyed on dict-encoded rows
 large but have only one or two nonzero entries per row, so the sparse
 routine settles a one-entry row without arithmetic and reduces only rows
 that meet a pivot with more than one entry. It reads its rows once, from
-any iterable (the chart-complex oracles pass generators), and keeps only
+any iterable (every oracle generates its columns, and one function,
+``oracle._cohomology``, turns the ranks into dimensions), and keeps only
 its pivots: a one-entry pivot as its column in a set, a longer one as its
 row. Memory is therefore O(rank), not O(size of the matrix). The dense
 routine is kept as an independent reference that the tests check it

@@ -7,8 +7,8 @@ bidegree in plain integers (:func:`modulidim.curves.h0_h1`,
 package never builds: the structure sheaf, a known-nontrivial degree-zero
 bundle and the canonical bundle, whose dimensions genus and degree alone
 do not pin. This module records such bundles with a :class:`Triviality`
-flag, runs the full rule cascade on them, convolves the results as
-:class:`~modulidim.dims.Dim` values, and keeps the closed forms the
+flag, runs the full rule cascade on them, convolves the bounds of the
+resulting :class:`~modulidim.dims.Dim` values, and keeps the closed forms the
 differential tests compare against. It is imported by the tests and is
 not itself collected.
 """
@@ -156,7 +156,7 @@ def twist(bundle: BidegreeBundle, power: int) -> BidegreeBundle:
 
 def bundle_kunneth_h(q: int, bundle: BidegreeBundle) -> Dim:
     """q-th cohomology dimension via the Kunneth convolution of
-    :func:`bundle_h0_h1`, in :class:`Dim` arithmetic.
+    :func:`bundle_h0_h1`, on the bounds of its :class:`Dim` values.
 
     ``h^q(X, L1 x L2) = sum over i + j = q of h^i(C1, L1) h^j(C2, L2)``,
     with no curve cohomology above degree 1.
@@ -164,13 +164,12 @@ def bundle_kunneth_h(q: int, bundle: BidegreeBundle) -> Dim:
     if q not in (0, 1, 2):
         raise PreconditionError(f"cohomology degree must be 0, 1 or 2, got {q}")
     f1, f2 = bundle.factors()
-    h0a, h1a = bundle_h0_h1(f1)
-    h0b, h1b = bundle_h0_h1(f2)
-    if q == 0:
-        return h0a * h0b
-    if q == 1:
-        return h0a * h1b + h1a * h0b
-    return h1a * h1b
+    first, second = bundle_h0_h1(f1), bundle_h0_h1(f2)
+    # the products h^i(C1) h^(q-i)(C2); every bound is >= 0, so the bounds
+    # of a product are the products of the bounds
+    pairs = [(first[i], second[q - i]) for i in (0, 1) if q - i in (0, 1)]
+    return Dim(sum(x.lower * y.lower for x, y in pairs),
+               sum(x.upper * y.upper for x, y in pairs))
 
 
 def ext_dims_QQ(l: int) -> tuple[int, int, int]:

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from modulidim.cli import (
     render_markdown,
 )
 from modulidim.kuranishi import nonfiltrable_report
+from modulidim.oracle import KOSZUL_MAX_LENGTH
 from modulidim.surface import Polarization, ProductSurface
 from modulidim.unstable import CAYLEY_BACHARACH, validate
 
@@ -398,6 +400,18 @@ class TestOracleCommands:
         code, out, err = run_cli(capsys, "oracle", "product", "--a", str(10**20), "--b", "1")
         assert (code, out) == (1, "")
         assert err.startswith("modulidim: error:") and err.count("\n") == 1
+
+    def test_koszul_length_over_the_cap_is_refused_at_once(self, capsys):
+        # the Koszul columns are generated in O(1) memory, so no allocation
+        # would stop a length of 10^10; the cap refuses it before any column
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", "koszul", "--a", "100000", "--b", "100000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (
+            "modulidim: error: length a*b = 10000000000 exceeds the cap of "
+            f"{KOSZUL_MAX_LENGTH}\n"
+        )
 
 
 _SWEEP_KEYS = ("g1", "g2", "m_range", "n_range", "l_range", "alpha", "beta")

@@ -38,20 +38,12 @@ def test_addition():
     assert sum([Dim.exact(1), Dim.exact(2)], Dim.exact(0)) == Dim.exact(3)
 
 
-def test_multiplication():
-    assert Dim.exact(2) * Dim.exact(3) == Dim.exact(6)
-    assert 4 * Dim(1, 3) == Dim(4, 12)
-    assert Dim(1, 2) * Dim(3, 5) == Dim(3, 10)
-
-
 def test_interval_ordering_invariant():
-    # lower <= upper across arithmetic, and a known zero annihilates
+    # lower <= upper across addition
     for lo1, up1 in [(0, 2), (1, 4), (3, 3)]:
         for lo2, up2 in [(0, 0), (2, 5), (1, 7)]:
-            for op in (lambda a, b: a + b, lambda a, b: a * b):
-                d = op(Dim(lo1, up1), Dim(lo2, up2))
-                assert d.lower <= d.upper
-    assert Dim.exact(0) * Dim(2, 9) == Dim.exact(0)
+            d = Dim(lo1, up1) + Dim(lo2, up2)
+            assert d.lower <= d.upper
 
 
 _intervals = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
@@ -61,18 +53,15 @@ _intervals = st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
 
 @given(_intervals, _intervals)
 def test_arithmetic_is_sound_and_tight(a, b):
-    # every x + y and x * y with x in a and y in b lies in a + b and a * b,
-    # and both ends of each result are attained
-    total, product = a + b, a * b
-    sums, products = set(), set()
+    # every x + y with x in a and y in b lies in a + b, and both ends of the
+    # sum are attained
+    total = a + b
+    sums = set()
     for x in range(a.lower, a.upper + 1):
         for y in range(b.lower, b.upper + 1):
             assert total.lower <= x + y <= total.upper
-            assert product.lower <= x * y <= product.upper
             sums.add(x + y)
-            products.add(x * y)
     assert {total.lower, total.upper} <= sums
-    assert {product.lower, product.upper} <= products
 
 
 def test_doc_forms():

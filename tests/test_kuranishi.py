@@ -44,11 +44,11 @@ def _box_scan(w, c2, bound):
             if l < 0 or w.alpha * m + w.beta * n < 0:
                 continue
             if m * n >= 0:
-                excluded.append({"m": m, "n": n, "l": l})
+                excluded.append((m, n, l))
             else:
                 mixed.append((m, n, l, "standard" if m >= 1 else "swapped"))
     mixed.sort()
-    excluded.sort(key=lambda e: (e["m"], e["n"], e["l"]))
+    excluded.sort()
     return mixed, excluded
 
 
@@ -129,8 +129,8 @@ def _kunneth_reference(stratum):
         "comp_i_target": bundle_kunneth_h(2, twist(sub, 2)),
         "comp_ii_target": bundle_kunneth_h(2, o),
         "comp_iii_target": bundle_kunneth_h(2, twist(sub, -2)),
-        "codim": nu1 * h0_2,
-        "equations": nu1 * h1_2,
+        "codim": Dim(nu1 * h0_2.lower, nu1 * h0_2.upper),
+        "equations": Dim(nu1 * h1_2.lower, nu1 * h1_2.upper),
     }
 
 
@@ -418,8 +418,7 @@ class TestComparisonReport:
     def test_excluded_strata_are_reported(self):
         report = homology_comparison_report(P1P1, W, 2, 5)
         assert report.excluded
-        assert all(set(e) == {"m", "n", "l"} for e in report.excluded)
-        assert all(e["m"] * e["n"] >= 0 for e in report.excluded)
+        assert all(l == 2 + 2 * m * n and m * n >= 0 for m, n, l in report.excluded)
 
     def test_enumeration_respects_box_degree_and_length(self):
         mixed, excluded = enumerate_strata(P1P1, Polarization(1, 2), 4, 3)
