@@ -173,7 +173,7 @@ def _compare_doc(args) -> tuple[dict, int]:
         }
         for m, n, orientation, report in comparison.strata
     ]
-    weakest = comparison.weakest
+    weakest, verdict = comparison.weakest, comparison.verdict
     doc = {
         "command": "report compare",
         "inputs": {
@@ -190,10 +190,10 @@ def _compare_doc(args) -> tuple[dict, int]:
             "not_established": list(comparison.not_established),
             "min_margin": _pv(None if weakest is None else weakest.margin, "chi-derived"),
         },
-        "verdicts": {"margin_exceeds_c2": comparison.verdict},
+        "verdicts": {"margin_exceeds_c2": verdict},
         "discrepancy_ledger": discrepancies.ledger(weakest) if weakest is not None else [],
     }
-    return doc, EXIT_NOT_ESTABLISHED if comparison.verdict == "not-established" else EXIT_OK
+    return doc, EXIT_NOT_ESTABLISHED if verdict == "not-established" else EXIT_OK
 
 
 def _unstable_doc(args) -> tuple[dict, int]:
@@ -319,10 +319,10 @@ def parse_sweep_config(text: str) -> dict:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in config:
             raise ValueError(f"line {lineno}: repeated key {key!r}")
-        if key.endswith("_range"):
-            config[key] = _parse_range(value)
-        else:
-            config[key] = int(value)
+        try:
+            config[key] = _parse_range(value) if key.endswith("_range") else int(value)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if key == "l_range" and config[key][0] < 0:
             raise ValueError(f"line {lineno}: l_range holds quotient lengths; q_length must be >= 0")
     missing = _SWEEP_KEYS - config.keys()

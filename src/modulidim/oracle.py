@@ -3,25 +3,25 @@
 Three oracles, all over exact integer arithmetic:
 
 * a two-chart Cech complex for twisting sheaves on the projective line,
-* a four-chart double complex for bidegree sheaves on a product of two
-  projective lines (built as a genuine double complex rather than by
-  convolving the line oracle, so the Kunneth identity itself gets tested),
+* for bidegree sheaves on a product of two projective lines, the total
+  complex of the tensor product of two such line complexes, ranked as a
+  whole rather than by convolving the line oracle's answers, so the
+  Kunneth identity itself gets tested,
 * a Koszul-resolution Ext computer for monomial complete-intersection
   quotients ``O / (x^a, y^b)``.
 
 Infinite section spaces are truncated to a monomial exponent window
-``[-N, N]``; a chart complex's row indices are computed from the exponents
-(overlap exponent ``e`` is row ``e + N``, each block at a fixed offset).
-Every oracle generates its sparse columns as the rank reads them, one
-differential after the other, and :func:`_cohomology` alone turns ranks
-into dimensions. The rank keeps only its pivots, so a chart complex takes
-O(rank) memory and the Koszul complex, whose ranks vanish, O(1). Every size
-is taken before the first column: a window too long for a machine word
-raises :class:`OverflowError`, and a Koszul length over
-:data:`KOSZUL_MAX_LENGTH` is refused. A truncated answer is certified by
-recomputing it at window ``N + 1``: a change in any dimension raises
-:class:`OracleCheckError`, as does a Koszul differential that fails to
-vanish. The command line reports that error with exit code 4.
+``[-N, N]``; overlap exponent ``e`` is row ``e + N``, and the product's
+terms are row-major in their two factors. Every oracle generates its sparse
+columns as the rank reads them, one differential after the other, and
+:func:`_cohomology` alone turns ranks into dimensions. The rank keeps only
+its pivots, so a chart complex takes O(rank) memory and the Koszul complex,
+whose ranks vanish, O(1). Every size is taken before the first column: a
+window too long for a machine word raises :class:`OverflowError`, and a
+Koszul length over :data:`KOSZUL_MAX_LENGTH` is refused. A truncated answer
+is certified by recomputing it at window ``N + 1``: a change in any
+dimension raises :class:`OracleCheckError`, as does a Koszul differential
+that fails to vanish. The command line reports that error with exit code 4.
 """
 
 from __future__ import annotations
@@ -63,26 +63,20 @@ def _cohomology(sizes: tuple, *differentials) -> tuple:
     return tuple(n - r - s for n, r, s in zip(sizes, ranks, ranks[1:]))
 
 
-def _chart_exponents(chart: int, k: int, N: int) -> range:
-    """Window-truncated exponents of chart sections of the degree-k sheaf.
-
-    Chart 0 sections are polynomial (exponents from 0 up), chart 1 sections
-    are bounded above by the twist degree.
-    """
-    if chart == 0:
-        return range(0, N + 1)
-    return range(-N, min(k, N) + 1)
+def _line(k: int, N: int) -> tuple[tuple[range, int], ...]:
+    """The two-chart complex of the degree-k sheaf on the projective line in
+    the window ``[-N, N]``: per chart, the range of overlap rows its sections
+    restrict to (exponent ``e`` is row ``e + N``, of ``2N + 1``) and its sign.
+    Chart 0 sections are polynomial, chart 1 sections end at the degree."""
+    return (range(N, 2 * N + 1), -1), (range(0, min(k, N) + N + 1), 1)
 
 
 def _p1_dims(k: int, N: int) -> tuple[int, int]:
-    exps0 = _chart_exponents(0, k, N)
-    exps1 = _chart_exponents(1, k, N)
-    # one column per chart section: the restriction difference on the
-    # overlap, whose exponent e is row e + N, so a chart's rows are a range
+    # one column per chart section: its restriction to the overlap
+    line = _line(k, N)
     return _cohomology(
-        (len(exps0) + len(exps1), len(range(-N, N + 1))),
-        ({row: s} for es, s in ((exps0, -1), (exps1, 1))
-         for row in range(es.start + N, es.stop + N)),
+        (sum(len(rows) for rows, _ in line), 2 * N + 1),
+        ({row: s} for rows, s in line for row in rows),
     )
 
 
@@ -99,55 +93,40 @@ def cech_h_p1(k: int, N: int | None = None) -> tuple[int, int, int]:
 
 
 def _product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
-    """Total-complex cohomology of the four-chart double complex.
+    """Cohomology of the total complex of ``_line(a, N)`` tensor
+    ``_line(b, N)``: X0Y0 -> X1Y0 + X0Y1 -> X1Y1, every term row-major in its
+    two factors.
 
-    Sections are indexed by arithmetic on their exponents. The t1 terms are
-    the x-overlap blocks (overlap exponent e, chart-cy exponent f), one per
-    y-chart cy, then the y-overlap blocks (chart-cx exponent e, overlap
-    exponent f), one per x-chart cx; each block is row-major in (e, f). The
-    t2 term is the double overlap, row-major in (e, f).
+    d0 restricts a section along each factor with that factor's chart sign;
+    d1 restricts along the other factor, with + on X1Y0 and - on X0Y1 so
+    that the composite with d0 vanishes.
     """
-    sign = (-1, 1)
-    overlap = range(-N, N + 1)
-    x_charts = (_chart_exponents(0, a, N), _chart_exponents(1, a, N))
-    y_charts = (_chart_exponents(0, b, N), _chart_exponents(1, b, N))
-    w = len(overlap)
-    x_sizes = [len(es) for es in x_charts]
-    y_sizes = [len(fs) for fs in y_charts]
-    x_offsets = (0, w * y_sizes[0])
-    y_offsets = (w * sum(y_sizes), w * (sum(y_sizes) + x_sizes[0]))
-    n0 = sum(x_sizes) * sum(y_sizes)
-    n1 = w * (sum(y_sizes) + sum(x_sizes))
-    n2 = w * w
+    xs, ys = _line(a, N), _line(b, N)
+    w = 2 * N + 1
+    nx, ny = (sum(len(rows) for rows, _ in line) for line in (xs, ys))
 
     def d0_columns():
-        # restrict each double-chart section to the two adjacent overlaps
-        for cx, es in enumerate(x_charts):
-            for cy, fs in enumerate(y_charts):
-                sx, sy, size = sign[cx], sign[cy], y_sizes[cy]
-                for e in es:
-                    x_row = x_offsets[cy] + (e + N) * size
-                    y_row = y_offsets[cx] + (e - es.start) * w + N + fs.start
-                    for j in range(size):
-                        yield {x_row + j: sx, y_row + j: sy}
+        y_row = w * ny
+        for x_rows, sx in xs:
+            for rx in x_rows:
+                x_row = rx * ny
+                for y_rows, sy in ys:
+                    for ry in y_rows:
+                        yield {x_row: sx, y_row + ry: sy}
+                        x_row += 1
+                y_row += w
 
     def d1_columns():
-        # the remaining restrictions, with a sign twist on the y-part so
-        # that the composite with d0 vanishes
-        for cy, fs in enumerate(y_charts):
-            s = sign[cy]
-            for e in overlap:
-                base = (e + N) * w + N
-                for f in fs:
-                    yield {base + f: s}
-        for cx, es in enumerate(x_charts):
-            s = -sign[cx]
-            for e in es:
-                base = (e + N) * w
-                for j in range(w):
-                    yield {base + j: s}
+        for r in range(0, w * w, w):
+            for y_rows, sy in ys:
+                for ry in y_rows:
+                    yield {r + ry: sy}
+        for x_rows, sx in xs:
+            for rx in x_rows:
+                for r in range(rx * w, rx * w + w):
+                    yield {r: -sx}
 
-    return _cohomology((n0, n1, n2), d0_columns(), d1_columns())
+    return _cohomology((nx * ny, w * (ny + nx), w * w), d0_columns(), d1_columns())
 
 
 def cech_h_product(a: int, b: int, N: int | None = None) -> tuple[int, int, int, int]:

@@ -2,6 +2,7 @@ import copy
 import enum
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import modulidim
 from modulidim.cli import (
     _ledger_results,
     _sweep_doc,
@@ -600,14 +602,21 @@ beta = 1
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1 and not out and "q_length" in err
 
-    @pytest.mark.parametrize("replace", [
+    @pytest.mark.parametrize("replace,line", [
         # no row is inside validity (m < 1), so no ledger ever sees the length
-        {"m_range = 2..3": "m_range = 0..0", "l_range = 0..1": "l_range = -5..-5"},
-        {"g2 = 2": "g2 = 2\ng1 = 3"},
+        ({"m_range = 2..3": "m_range = 0..0", "l_range = 0..1": "l_range = -5..-5"}, 7),
+        ({"g2 = 2": "g2 = 2\ng1 = 3"}, 5),
         # list(range(...)) cannot take this many elements
-        {"m_range = 2..3": f"m_range = 0..{10**20}"},
-    ], ids=["negative-length-outside-validity", "repeated-key", "overflowing-range"])
-    def test_refused_config_exits_one_with_one_line(self, capsys, tmp_path, replace):
+        ({"m_range = 2..3": f"m_range = 0..{10**20}"}, 5),
+        ({"g1 = 2": "g1 = 1..2"}, 3),
+        ({"g1 = 2": "g1 = x"}, 3),
+        ({"m_range = 2..3": "m_range = 1..x"}, 5),
+        ({"l_range = 0..1": "l_range = 2..1"}, 7),
+    ], ids=[
+        "negative-length-outside-validity", "repeated-key", "overflowing-range",
+        "range-as-integer", "non-integer", "non-integer-range-end", "empty-range",
+    ])
+    def test_refused_config_exits_one_with_one_line(self, capsys, tmp_path, replace, line):
         config = self.CONFIG
         for old, new in replace.items():
             config = config.replace(old, new)
@@ -615,7 +624,7 @@ beta = 1
         path.write_text(config)
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("modulidim: error:") and err.count("\n") == 1
+        assert err.startswith(f"modulidim: error: line {line}: ") and err.count("\n") == 1
 
     @settings(max_examples=300)
     @given(_sweep_config_lines())
@@ -836,8 +845,10 @@ class TestRenderJson:
 
 
 def test_console_entry_point():
+    src = str(Path(modulidim.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "modulidim.cli", "report", "toy", "--m", "1", "--n", "-1"],
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
     )

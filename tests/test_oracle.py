@@ -100,11 +100,16 @@ class TestRank:
         assert rows == before
 
 
+def _chart_exponents(k: int, N: int) -> tuple[range, range]:
+    """Window-truncated exponents of the sections of the degree-k sheaf on
+    each chart: polynomial on chart 0, bounded above by k on chart 1."""
+    return range(0, N + 1), range(-N, min(k, N) + 1)
+
+
 def _reference_p1_dims(k: int, N: int) -> tuple[int, int]:
     """The chart complex of :func:`cech_h_p1` built from tuple-keyed index
     tables, as a reference for the index arithmetic."""
-    exps0 = oracle_module._chart_exponents(0, k, N)
-    exps1 = oracle_module._chart_exponents(1, k, N)
+    exps0, exps1 = _chart_exponents(k, N)
     n0 = len(exps0) + len(exps1)
     overlap_index = {e: i for i, e in enumerate(range(-N, N + 1))}
     n1 = len(overlap_index)
@@ -116,26 +121,27 @@ def _reference_p1_dims(k: int, N: int) -> tuple[int, int]:
 
 def _reference_product_dims(a: int, b: int, N: int) -> tuple[int, int, int]:
     """The double complex of :func:`cech_h_product` built from tuple-keyed
-    index tables, as a reference for the index arithmetic."""
-    chart_exponents = oracle_module._chart_exponents
+    index tables, as a reference for the index arithmetic. Every term is
+    listed row-major in its x-factor, then its y-factor."""
+    x_charts, y_charts = _chart_exponents(a, N), _chart_exponents(b, N)
     sign = {0: -1, 1: 1}
     t0 = [
         (cx, cy, e, f)
         for cx in (0, 1)
+        for e in x_charts[cx]
         for cy in (0, 1)
-        for e in chart_exponents(cx, a, N)
-        for f in chart_exponents(cy, b, N)
+        for f in y_charts[cy]
     ]
     t1 = [
         ("x", cy, e, f)
-        for cy in (0, 1)
         for e in range(-N, N + 1)
-        for f in chart_exponents(cy, b, N)
+        for cy in (0, 1)
+        for f in y_charts[cy]
     ]
     t1 += [
         ("y", cx, e, f)
         for cx in (0, 1)
-        for e in chart_exponents(cx, a, N)
+        for e in x_charts[cx]
         for f in range(-N, N + 1)
     ]
     t2 = [(e, f) for e in range(-N, N + 1) for f in range(-N, N + 1)]
@@ -199,6 +205,25 @@ class TestIndexArithmetic:
             assert matrices(oracle_module._p1_dims, k, abs(k) + 2) == matrices(
                 _reference_p1_dims, k, abs(k) + 2
             )
+
+    def test_product_streams_form_a_complex(self, monkeypatch):
+        # d1 sends every d0 column to zero; scaling either block of d1 keeps
+        # both ranks, so only the composite sees a wrong sign
+        seen = []
+        monkeypatch.setattr(oracle_module, "sparse_rank", lambda rows: seen.append(list(rows)) or 0)
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                need = max(abs(a), abs(b)) + 2
+                for N in (need, need + 1):
+                    seen.clear()
+                    oracle_module._product_dims(a, b, N)
+                    d0, d1 = seen
+                    for column in d0:
+                        image = {}
+                        for row, value in column.items():
+                            for target, entry in d1[row].items():
+                                image[target] = image.get(target, 0) + value * entry
+                        assert not any(image.values()), (a, b, N, column)
 
 
 class TestP1Oracle:
