@@ -5,7 +5,9 @@ Every command emits a single report document on stdout, as canonical JSON
 The JSON writer takes only dicts with string keys, lists, strings, integers,
 booleans and null, and raises ``TypeError`` on anything else, floats included.
 The document is built in full before its first byte is written; the JSON text
-then goes to stdout in bounded pieces and is never held whole.
+then goes to stdout in bounded batches and is never held whole. Equal cells of
+one document are one dict, and the writer keeps one text per distinct shared
+cell for the render, so each is formatted once.
 Numeric result fields carry a provenance marker: ``closed-form`` for rule
 outputs, ``chi-derived`` for quantities exact only through an Euler
 characteristic, ``oracle`` for brute-force results.
@@ -84,11 +86,21 @@ def _pv(value: Dim | int, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
-def _ledger_results(report: KuranishiReport, names: tuple[str, ...]) -> dict:
-    return {
-        name: _pv(getattr(report, name), "chi-derived" if name in _CHI_DERIVED else "closed-form")
-        for name in names
-    }
+def _ledger_results(report: KuranishiReport, names: tuple[str, ...], cells: dict) -> dict:
+    """The cells of ``names``, shared through ``cells``, one document's cache:
+    equal cells are one dict. A ``Dim`` is keyed by ``(lower, upper,
+    provenance)`` and an int by ``(value, provenance)``, so the two never
+    share a cell."""
+    results = {}
+    for name in names:
+        value = getattr(report, name)
+        provenance = "chi-derived" if name in _CHI_DERIVED else "closed-form"
+        key = (value.lower, value.upper, provenance) if type(value) is Dim else (value, provenance)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = _pv(value, provenance)
+        results[name] = cell
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +127,7 @@ def _kuranishi_doc(args) -> tuple[dict, int]:
             "l": report.q_length,
         },
         "results": {
-            **_ledger_results(report, _LEDGER_FIELDS),
+            **_ledger_results(report, _LEDGER_FIELDS, {}),
             "moduli_real_dim": _pv(moduli_real_dimension(report.c2, surface), "closed-form"),
         },
         "verdicts": {
@@ -161,19 +173,20 @@ def _compare_doc(args) -> tuple[dict, int]:
         args.c2,
         args.bound,
     )
+    cells: dict = {}
     rows = [
         {
             "m": m,
             "n": n,
             "l": report.q_length,
             "orientation": orientation,
-            **_ledger_results(report, _COMPARE_FIELDS),
+            **_ledger_results(report, _COMPARE_FIELDS, cells),
             "margin_exceeds_c2": report.margin_exceeds_c2,
             "margin_established": report.margin_established,
         }
         for m, n, orientation, report in comparison.strata
     ]
-    weakest, verdict = comparison.weakest, comparison.verdict
+    weakest, verdict = comparison.outcome
     doc = {
         "command": "report compare",
         "inputs": {
@@ -335,12 +348,14 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
     """One row per grid point ``(m, n, l)``, sorted: every range ascends, so
     the nested loops already visit the points in lexicographic order. The
     split ledger is computed once per ``(m, n)`` and taken to each length
-    ``l``. Its entries that do not depend on ``l`` are built once per
-    ``(m, n)``, and ``t_o``, which depends only on ``l`` and the genera, once
-    per ``l``; rows share those dicts."""
+    ``l``. Its entries and status that do not depend on ``l`` are built once
+    per ``(m, n)``, and ``t_o``, which depends only on ``l`` and the genera,
+    once per ``l``; every other cell comes from one cache for the document,
+    so rows share equal cells."""
     surface = ProductSurface(config["g1"], config["g2"])
     w = Polarization(config["alpha"], config["beta"])
     t_o_by_length: dict[int, dict] = {}
+    cells: dict = {}
     rows = []
     any_not_established = False
     for m in config["m_range"]:
@@ -352,7 +367,12 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
                 skipped = "outside-validity: needs m >= 1"
             else:
                 split = component_report(surface, m, n, w)
-                unshifted = _ledger_results(split, _SWEEP_UNSHIFTED_FIELDS)
+                unshifted = _ledger_results(split, _SWEEP_UNSHIFTED_FIELDS, cells)
+                if split.margin_established:
+                    status = "ok"
+                else:
+                    status = "not-established"
+                    any_not_established = True
             for l in config["l_range"]:
                 if split is None:
                     rows.append({"m": m, "n": n, "l": l, "status": skipped})
@@ -361,14 +381,11 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
                 t_o = t_o_by_length.get(l)
                 if t_o is None:
                     t_o = t_o_by_length[l] = _pv(report.t_o, "closed-form")
-                established = report.margin_established
-                if not established:
-                    any_not_established = True
                 rows.append({
                     "m": m, "n": n, "l": l, "t_o": t_o, **unshifted,
-                    **_ledger_results(report, _SWEEP_SHIFTED_FIELDS),
+                    **_ledger_results(report, _SWEEP_SHIFTED_FIELDS, cells),
                     "margin_exceeds_c2": report.margin_exceeds_c2,
-                    "status": "ok" if established else "not-established",
+                    "status": status,
                 })
     doc = {
         "command": "sweep",
@@ -398,26 +415,33 @@ _JSON_LEAVES = {
 
 # ``_write_json`` writes its pieces out whenever this many have accumulated, so
 # the rendered text of a large document is never held whole.
-_JSON_BATCH = 4096
+_JSON_BATCH = 2048
 
 
 def render_json(doc: dict, out: TextIOBase) -> None:
     """Write ``doc`` to ``out`` as the exact bytes of
     ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, in pieces."""
     chunks: list[str] = []
-    _write_json(doc, "\n", chunks, out, {})
+    _write_json(doc, "\n", chunks, out, {}, {})
     chunks.append("\n")
     out.write("".join(chunks))
 
 
-def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes: dict) -> None:
+def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes: dict,
+                texts: dict) -> None:
     """Append ``value``; ``newline`` is the line break and indent that close it.
 
     ``shapes`` maps ``(newline, *keys)`` of each dict shape written so far to
     its ``(key, line)`` pairs in sorted key order, where ``line`` opens the
     key's entry up to its value, so a shape met again is not sorted and
-    quoted again. It lives for one ``render_json`` call; a key that is not a
-    string raises ``TypeError`` before its shape is stored.
+    quoted again. A key that is not a string raises ``TypeError`` before its
+    shape is stored.
+
+    ``texts`` maps each indent to a dict from ``id(cell)`` to the text of
+    ``cell``, for every dict met as a dict value whose entries are all
+    leaves: a cell that the document shares is written once and its text
+    reused. Both memos live for one ``render_json`` call, while the
+    document keeps every object, and so every id, alive.
 
     After each list item, a batch of ``_JSON_BATCH`` pieces or more goes to
     ``out`` and ``chunks`` starts empty again.
@@ -432,12 +456,24 @@ def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes:
                 (key, ("," if i else "{") + inner + _json_string(key) + ": ")
                 for i, key in enumerate(sorted(value))
             ]
+        cells = texts.setdefault(inner, {})
         for key, line in lines:
             item = value[key]
             leaf = _JSON_LEAVES.get(type(item))
-            chunks.append(line + leaf(item) if leaf else line)
-            if leaf is None:
-                _write_json(item, inner, chunks, out, shapes)
+            if leaf:
+                chunks.append(line + leaf(item))
+                continue
+            chunks.append(line)
+            if type(item) is dict:
+                text = cells.get(id(item))
+                if text is None and all(type(v) in _JSON_LEAVES for v in item.values()):
+                    pieces: list[str] = []
+                    _write_json(item, inner, pieces, out, shapes, texts)
+                    text = cells[id(item)] = "".join(pieces)
+                if text is not None:
+                    chunks.append(text)
+                    continue
+            _write_json(item, inner, chunks, out, shapes, texts)
         chunks.append(newline + "}" if value else "{}")
     elif kind is list or kind is tuple:
         separator = "[" + inner
@@ -445,7 +481,7 @@ def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes:
             leaf = _JSON_LEAVES.get(type(item))
             chunks.append(separator + leaf(item) if leaf else separator)
             if leaf is None:
-                _write_json(item, inner, chunks, out, shapes)
+                _write_json(item, inner, chunks, out, shapes, texts)
             separator = "," + inner
             if len(chunks) >= _JSON_BATCH:
                 out.write("".join(chunks))

@@ -206,12 +206,17 @@ class ComparisonReport(Record):
 
     @property
     def verdict(self) -> str:
+        return self.outcome[1]
+
+    @property
+    def outcome(self) -> tuple[KuranishiReport | None, str]:
+        """``(weakest, verdict)``, with ``weakest`` derived once for both."""
         weakest = self.weakest
         if weakest is not None and weakest.margin <= self.c2:
-            return "false"
+            return weakest, "false"
         if any(not r.margin_established for *_, r in self.strata):
-            return "not-established"
-        return "true"
+            return weakest, "not-established"
+        return weakest, "true"
 
 
 def toy_domain_dim(m: int, n: int) -> int:

@@ -23,7 +23,7 @@ from modulidim.cli import (
     render_json,
     render_markdown,
 )
-from modulidim.kuranishi import nonfiltrable_report
+from modulidim.kuranishi import ComparisonReport, nonfiltrable_report
 from modulidim.oracle import KOSZUL_MAX_LENGTH
 from modulidim.surface import Polarization, ProductSurface
 from modulidim.unstable import CAYLEY_BACHARACH, validate
@@ -178,6 +178,27 @@ class TestCompareReport:
         excluded = doc["results"]["excluded"]
         assert excluded
         assert all(set(e) == {"m", "n", "l"} for e in excluded)
+
+    def test_document_derives_the_weakest_report_once(self, capsys, monkeypatch):
+        # the minimum margin, the discrepancy ledger and the verdict all rest
+        # on the weakest report; the strata are scanned for it once
+        weakest = ComparisonReport.weakest.fget
+        calls = []
+
+        def counted(comparison):
+            calls.append(comparison)
+            return weakest(comparison)
+
+        monkeypatch.setattr(ComparisonReport, "weakest", property(counted))
+        code, doc, _ = run_json(
+            capsys,
+            "report", "compare",
+            "--g1", "0", "--g2", "3", "--c2", "8",
+            "--alpha", "1", "--beta", "1", "--bound", "6",
+        )
+        assert (code, doc["verdicts"]["margin_exceeds_c2"]) == (0, "false")
+        assert doc["discrepancy_ledger"]
+        assert len(calls) == 1
 
 
 class TestUnstableReport:
@@ -581,7 +602,7 @@ beta = 1
                     report = nonfiltrable_report(surface, row["m"], row["n"], w, row["l"])
                     assert row == {
                         "m": report.m, "n": report.n, "l": report.q_length,
-                        **_ledger_results(report, fields),
+                        **_ledger_results(report, fields, {}),
                         "margin_exceeds_c2": report.margin_exceeds_c2,
                         "status": "ok" if report.margin_established else "not-established",
                     }, (g1, g2, row)
@@ -761,7 +782,8 @@ class _Level(enum.IntEnum):
 
 def _sweep_document(m_hi: int, l_hi: int) -> dict:
     """The sweep document of genus (2, 2), m in 1..m_hi, n in -m_hi..-1,
-    l in 0..l_hi: every row is a ledger row."""
+    l in 0..l_hi: every row with m + n >= 0 is a ledger row, the rest are
+    not destabilizing."""
     config = parse_sweep_config(
         f"g1 = 2\ng2 = 2\nm_range = 1..{m_hi}\nn_range = -{m_hi}..-1\n"
         f"l_range = 0..{l_hi}\nalpha = 1\nbeta = 1\n"
@@ -799,12 +821,17 @@ def _render(doc) -> str:
 
 # one dict object met at three depths, so under three line breaks
 _SHARED = {"x": [1, "two"], "y": {}}
+# one cell whose entries are all leaves, which the writer renders once per indent
+_CELL = {"kind": "exact", "value": 1, "provenance": "oracle"}
 
 
 class TestRenderJson:
     @given(st.dictionaries(_TEXT, _TREES, max_size=3) | st.lists(_TREES, max_size=3))
     @example([{"a": 1, "b": [2]}, {"b": [2], "a": 1}])
     @example({"p": _SHARED, "q": [_SHARED, {"r": _SHARED}]})
+    @example({"a": _CELL, "b": _CELL, "c": {"d": _CELL}})
+    @example({"a": {"b": _CELL}, "c": _CELL, "d": {"e": _CELL}})
+    @example([{"a": _CELL}, _CELL, {"b": [_CELL, {"c": _CELL}], "d": _CELL}])
     def test_matches_indented_json_dumps(self, tree):
         assert _render(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -827,6 +854,25 @@ class TestRenderJson:
         render_json(doc, out)
         assert out.writes > 5
         assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_sweep_rows_share_equal_cells(self):
+        # one dict per distinct cell of the document, each with the
+        # provenance of its own field: ints and exact Dims never share one
+        doc = _sweep_document(12, 10)
+        rows = [row for row in doc["results"]["rows"] if row["status"] == "ok"]
+        fields = ("t_u", "t_o", "t_s", "codim", "equations", "margin", "c2")
+        by_t_s: dict = {}
+        references = []
+        for row in rows:
+            first = by_t_s.setdefault(json.dumps(row["t_s"], sort_keys=True), row["t_s"])
+            assert row["t_s"] is first
+            for field in fields:
+                cell = row[field]
+                assert cell["provenance"] == ("chi-derived" if field == "margin" else "closed-form")
+                assert ("kind" in cell) == (field not in ("margin", "c2")), (field, cell)
+                references.append(cell)
+        assert len(by_t_s) < len(rows)
+        assert len({id(cell) for cell in references}) < len(references) // 4
 
     def test_memory_while_rendering_stays_far_below_the_output_size(self):
         # the writer keeps at most one batch of pieces, never the whole text:

@@ -36,6 +36,12 @@ def test_addition():
     assert Dim.exact(2) + 3 == Dim.exact(5)
     assert Dim(1, 4) + Dim.exact(2) == Dim(3, 6)
     assert sum([Dim.exact(1), Dim.exact(2)], Dim.exact(0)) == Dim.exact(3)
+    assert Dim(2, 5) + -2 == Dim(0, 3)
+    # an int shifts both ends, and a negative lower end is still refused
+    with pytest.raises(ValueError):
+        Dim(1, 4) + -2
+    with pytest.raises(TypeError):
+        Dim.exact(1) + 1.0
 
 
 def test_interval_ordering_invariant():
