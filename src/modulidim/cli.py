@@ -5,9 +5,12 @@ Every command emits a single report document on stdout, as canonical JSON
 The JSON writer takes only dicts with string keys, lists, strings, integers,
 booleans and null, and raises ``TypeError`` on anything else, floats included.
 The document is built in full before its first byte is written; the JSON text
-then goes to stdout in bounded batches and is never held whole. Equal cells of
-one document are one dict, and the writer keeps one text per distinct shared
-cell for the render, so each is formatted once.
+then goes to stdout in bounded batches and is never held whole, and so does the
+markdown of a row table. Equal cells of one document are one dict, and the
+writer keeps one text per distinct shared cell for the render, so each is
+formatted once. A list of records that share one key set and hold only
+integers, such as ``report compare``'s ``excluded`` list, is written a block
+of ``_JSON_BATCH`` records at a time, each block by one template.
 Numeric result fields carry a provenance marker: ``closed-form`` for rule
 outputs, ``chi-derived`` for quantities exact only through an Euler
 characteristic, ``oracle`` for brute-force results.
@@ -33,8 +36,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from io import TextIOBase
+from operator import itemgetter
 
 from . import discrepancies
 from .dims import Dim
@@ -413,8 +419,9 @@ _JSON_LEAVES = {
 }
 
 
-# ``_write_json`` writes its pieces out whenever this many have accumulated, so
-# the rendered text of a large document is never held whole.
+# ``_write_json`` writes its pieces out whenever this many have accumulated, and
+# each block of at most this many integer records as soon as it is formatted,
+# so the rendered text of a large document is never held whole.
 _JSON_BATCH = 2048
 
 
@@ -425,6 +432,43 @@ def render_json(doc: dict, out: TextIOBase) -> None:
     _write_json(doc, "\n", chunks, out, {}, {})
     chunks.append("\n")
     out.write("".join(chunks))
+
+
+def _int_records(block: list, newline: str, shapes: dict) -> str | None:
+    """The text of ``block`` as list items closed by ``newline``, joined by
+    commas, if its items are dicts with one key set of two or more keys and
+    only exact ``int`` values; ``None`` otherwise.
+
+    Every check runs in C: the item types, their lengths, one
+    ``itemgetter`` over the first item's sorted keys (a missing key raises
+    ``KeyError``), and the value types, so ``bool``, ``IntEnum`` and
+    ``float`` values are left to the generic writer. The block's text is then
+    one ``%`` of the record template repeated once per item. ``shapes``
+    keeps the getter and the record template under ``(int, newline, *keys)``,
+    which no dict-shape key can equal.
+    """
+    first = block[0]
+    if type(first) is not dict or len(first) < 2 or set(map(type, first.values())) != {int}:
+        return None
+    shape = (int, newline, *first)
+    record = shapes.get(shape)
+    if record is None:
+        keys = sorted(first)
+        inner = newline + "  "
+        template = "{" + ",".join(
+            inner + _json_string(key).replace("%", "%%") + ": %d" for key in keys
+        ) + newline + "}"
+        record = shapes[shape] = (itemgetter(*keys), template)
+    getter, template = record
+    if set(map(type, block)) != {dict} or set(map(len, block)) != {len(first)}:
+        return None
+    try:
+        values = tuple(chain.from_iterable(map(getter, block)))
+    except KeyError:
+        return None
+    if set(map(type, values)) != {int}:
+        return None
+    return ("," + newline).join([template] * len(block)) % values
 
 
 def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes: dict,
@@ -443,8 +487,11 @@ def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes:
     reused. Both memos live for one ``render_json`` call, while the
     document keeps every object, and so every id, alive.
 
-    After each list item, a batch of ``_JSON_BATCH`` pieces or more goes to
-    ``out`` and ``chunks`` starts empty again.
+    A list is walked in blocks of ``_JSON_BATCH`` items. A block of integer
+    records (see ``_int_records``) is written by one template and goes to
+    ``out`` at once; any other block is written item by item, and after each
+    item a batch of ``_JSON_BATCH`` pieces or more goes to ``out``. Either
+    way ``chunks`` then starts empty again.
     """
     kind = type(value)
     inner = newline + "  "
@@ -477,15 +524,24 @@ def _write_json(value, newline: str, chunks: list[str], out: TextIOBase, shapes:
         chunks.append(newline + "}" if value else "{}")
     elif kind is list or kind is tuple:
         separator = "[" + inner
-        for item in value:
-            leaf = _JSON_LEAVES.get(type(item))
-            chunks.append(separator + leaf(item) if leaf else separator)
-            if leaf is None:
-                _write_json(item, inner, chunks, out, shapes, texts)
-            separator = "," + inner
-            if len(chunks) >= _JSON_BATCH:
+        for start in range(0, len(value), _JSON_BATCH):
+            block = value[start:start + _JSON_BATCH]
+            text = _int_records(block, inner, shapes)
+            if text is not None:
+                chunks.append(separator + text)
+                separator = "," + inner
                 out.write("".join(chunks))
                 chunks.clear()
+                continue
+            for item in block:
+                leaf = _JSON_LEAVES.get(type(item))
+                chunks.append(separator + leaf(item) if leaf else separator)
+                if leaf is None:
+                    _write_json(item, inner, chunks, out, shapes, texts)
+                separator = "," + inner
+                if len(chunks) >= _JSON_BATCH:
+                    out.write("".join(chunks))
+                    chunks.clear()
         chunks.append(newline + "]" if value else "[]")
     else:
         raise TypeError(f"cannot render a {kind.__name__} as JSON")
@@ -513,18 +569,23 @@ _COMPARE_COLUMNS = (
     ("established", "margin_established"),
 )
 _ROW_TABLES = {"sweep": ("rows", _SWEEP_COLUMNS), "report compare": ("strata", _COMPARE_COLUMNS)}
+# ``render_markdown`` writes a row table's lines out whenever this many have
+# accumulated; a line holds a whole row, a dozen cells.
+_MD_BATCH = 256
 
 
-def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("| " + " | ".join("---" for _ in headers) + " |")
+def _md_table(headers: list[str], rows) -> Iterator[str]:
+    """The lines of a table, one per row of ``rows`` as it is read."""
+    yield "| " + " | ".join(headers) + " |"
+    yield "| " + " | ".join("---" for _ in headers) + " |"
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+        yield "| " + " | ".join(row) + " |"
 
 
 def render_markdown(doc: dict, out: TextIOBase) -> None:
-    """Write ``doc`` to ``out`` as markdown tables."""
+    """Write ``doc`` to ``out`` as markdown tables. The lines of a row
+    table go out in batches of ``_MD_BATCH``, so its text is never held
+    whole."""
     lines = [f"# {doc['command']}", ""]
     if "inputs" in doc:
         lines.append("Inputs: " + ", ".join(f"{k}={v}" for k, v in sorted(doc["inputs"].items())))
@@ -533,10 +594,14 @@ def render_markdown(doc: dict, out: TextIOBase) -> None:
     results = doc.get("results", {})
     if doc["command"] in _ROW_TABLES:
         key, columns = _ROW_TABLES[doc["command"]]
-        lines += _md_table(
+        for line in _md_table(
             [header for header, _ in columns],
-            [[_md_value(row.get(k, "-")) for _, k in columns] for row in results[key]],
-        )
+            ([_md_value(row.get(k, "-")) for _, k in columns] for row in results[key]),
+        ):
+            lines.append(line)
+            if len(lines) >= _MD_BATCH:
+                out.write("\n".join(lines) + "\n")
+                lines.clear()
     else:
         if results:
             rows = [[k, _md_value(v)] for k, v in sorted(results.items())
@@ -576,17 +641,22 @@ def render_markdown(doc: dict, out: TextIOBase) -> None:
                 f"`{entry['stated_formula']}` = {entry['stated_value']}, used "
                 f"`{entry['used_formula']}` = {entry['used_value']}; {entry['relation']}"
             )
-    out.write("\n".join(lines) + "\n")
+    if lines:
+        out.write("\n".join(lines) + "\n")
 
 
 def _has_interval(node) -> bool:
-    if isinstance(node, dict):
+    """Whether a dict in ``node`` is an interval cell; a dict or list none of
+    whose values is a dict or list is settled without a call per value."""
+    if type(node) is dict:
         if node.get("kind") == "interval":
             return True
-        return any(_has_interval(v) for v in node.values())
-    if isinstance(node, list):
-        return any(_has_interval(v) for v in node)
-    return False
+        values = node.values()
+    elif type(node) is list:
+        values = node
+    else:
+        return False
+    return not {dict, list}.isdisjoint(map(type, values)) and any(map(_has_interval, values))
 
 
 # ---------------------------------------------------------------------------

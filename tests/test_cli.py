@@ -14,7 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modulidim
+from modulidim import cli
 from modulidim.cli import (
+    _JSON_BATCH,
+    _MD_BATCH,
+    _has_interval,
     _ledger_results,
     _sweep_doc,
     build_parser,
@@ -199,6 +203,30 @@ class TestCompareReport:
         assert (code, doc["verdicts"]["margin_exceeds_c2"]) == (0, "false")
         assert doc["discrepancy_ledger"]
         assert len(calls) == 1
+
+    def test_excluded_list_is_written_a_block_at_a_time(self, monkeypatch):
+        # at --bound 46 the excluded list spans two blocks of integer
+        # records; each block is written by one template, not a call per entry
+        args = build_parser().parse_args([
+            "report", "compare", "--g1", "0", "--g2", "0", "--c2", "2",
+            "--alpha", "1", "--beta", "1", "--bound", "46",
+        ])
+        doc, _ = args.build(args)
+        excluded = doc["results"]["excluded"]
+        assert len(excluded) > _JSON_BATCH
+        write_json = cli._write_json
+        calls = []
+
+        def counted(value, *rest):
+            calls.append(value)
+            return write_json(value, *rest)
+
+        monkeypatch.setattr(cli, "_write_json", counted)
+        out = _CountedText()
+        render_json(doc, out)
+        assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert out.writes > 1
+        assert len(calls) < len(excluded)
 
 
 class TestUnstableReport:
@@ -708,6 +736,15 @@ class TestDocumentContract:
             render_markdown(doc, io.StringIO())
             assert doc == before
 
+    def test_require_exact_finds_an_interval_after_many_int_records(self):
+        # records of ints alone are settled without a call per value; the one
+        # interval cell comes after all of them
+        interval = {"kind": "interval", "lower": 0, "upper": 2, "provenance": "closed-form"}
+        records = [{"m": i, "n": -i, "l": 2 * i} for i in range(3 * _JSON_BATCH)]
+        assert not _has_interval({"results": {"excluded": records, "bound": 3}})
+        assert _has_interval({"results": {"excluded": [*records, {"m": 0, "t_u": interval}]}})
+        assert _has_interval({"results": {"excluded": [*records, [1, interval]]}})
+
     def test_no_floats_anywhere(self, capsys):
         _, doc, _ = run_json(
             capsys,
@@ -768,8 +805,16 @@ _CHARS = (
     st.sampled_from(_ESCAPED) | st.integers(0, 0x7F).map(chr) | st.integers(0, 0x10FFFF).map(chr)
 )
 _TEXT = st.text(_CHARS, max_size=6)
+# Lists of records over three keys, one of them with a ``%``: blocks that
+# share a key set and hold only ints are written by one template, the rest
+# item by item.
+_RECORDS = st.lists(
+    st.dictionaries(st.sampled_from(["m", "n", "%d"]), st.integers() | st.booleans(), min_size=2),
+    min_size=1, max_size=4,
+)
 _TREES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _TEXT,
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _TEXT
+    | _RECORDS,
     lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple)
     | st.dictionaries(_TEXT, children, max_size=3),
     max_leaves=8,
@@ -832,6 +877,14 @@ class TestRenderJson:
     @example({"a": _CELL, "b": _CELL, "c": {"d": _CELL}})
     @example({"a": {"b": _CELL}, "c": _CELL, "d": {"e": _CELL}})
     @example([{"a": _CELL}, _CELL, {"b": [_CELL, {"c": _CELL}], "d": _CELL}])
+    @example([{"m": 1, "n": -2, "l": 3}, {"l": 0, "n": 5, "m": 7}, {"n": 1, "m": 2, "l": 2**70}])
+    @example([{"%d": 1, "a%%s": 2}, {"a%%s": 3, "%d": 4}])
+    @example([{"x": 1, "y": 2}, {"x": True, "y": 2}])
+    @example([{"x": 1, "y": 2}, {"x": 1, "y": None}])
+    @example([{"x": 1, "y": 2}, {"x": 1, "z": 2}])
+    @example([{"x": 1, "y": 2}, {"x": 1, "y": 2, "z": 3}])
+    @example([{"x": 1}, {"x": 2}])
+    @example({"t": ({"x": 1, "y": 2}, {"y": 3, "x": 4})})
     def test_matches_indented_json_dumps(self, tree):
         assert _render(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -842,8 +895,12 @@ class TestRenderJson:
         {"values": {1: "one"}},
         {"a": {"x": 1}, "b": [{"x": 1.0}]},
         [{"x": 1}, {"x": 1.0}],
+        [{"x": 1, "y": 2}, {"x": 1.0, "y": 2}],
+        [{"x": 1, "y": _Level.HIGH}],
+        [{1: 2, 3: 4}],
     ], ids=["float", "set", "int-enum", "int-key", "float-under-a-written-key-set",
-            "float-under-a-written-shape"])
+            "float-under-a-written-shape", "float-in-a-record-block", "int-enum-in-a-record",
+            "int-keys-of-a-record"])
     def test_rejects_values_outside_the_document_types(self, doc):
         with pytest.raises(TypeError):
             _render(doc)
@@ -888,6 +945,35 @@ class TestRenderJson:
         assert sink.size > 3_000_000
         assert sink.writes > 1
         assert peak < 1_000_000, peak
+
+
+class TestRenderMarkdown:
+    def test_memory_while_rendering_stays_far_below_the_output_size(self):
+        # the row table goes out in batches of lines, never as one text:
+        # about 0.07 MB here, against 4 MB if every line were held
+        doc = _sweep_document(24, 10)
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            render_markdown(doc, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 400_000
+        assert sink.writes > 1
+        assert peak < 150_000, peak
+
+    # six lines precede the rows: title, inputs, table head and blank lines
+    @pytest.mark.parametrize("n_rows", [_MD_BATCH - 7, _MD_BATCH - 6, _MD_BATCH - 5, 2 * _MD_BATCH - 6])
+    def test_row_table_ends_with_one_line_break_at_any_batch_boundary(self, n_rows):
+        doc = {"command": "sweep", "inputs": {"g1": 0},
+               "results": {"rows": [{"m": i, "status": "ok"} for i in range(n_rows)]}}
+        out = _CountedText()
+        render_markdown(doc, out)
+        text = out.getvalue()
+        assert text.splitlines()[:4] == ["# sweep", "", "Inputs: g1=0", ""]
+        assert text.count("\n") == 6 + n_rows
+        assert text.endswith(f"| {n_rows - 1} | - | - | - | - | - | - | - | - | - | - | ok |\n")
 
 
 def test_console_entry_point():
