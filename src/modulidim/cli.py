@@ -8,9 +8,10 @@ The document is built in full before its first byte is written; the JSON text
 then goes to stdout in bounded batches and is never held whole, and so does the
 markdown of a row table. Equal cells of one document are one dict, and the
 writer keeps one text per distinct shared cell for the render, so each is
-formatted once. A list of records that share one key set and hold only
-integers, such as ``report compare``'s ``excluded`` list, is written a block
-of ``_JSON_BATCH`` records at a time, each block by one template.
+formatted once. A sweep builds each ledger row from its split ledger's integer
+length rule, and a cell only when it is new. A list of records that share one
+key set and hold only integers, such as ``report compare``'s ``excluded`` list,
+is written a block of ``_JSON_BATCH`` records at a time, each by one template.
 Numeric result fields carry a provenance marker: ``closed-form`` for rule
 outputs, ``chi-derived`` for quantities exact only through an Euler
 characteristic, ``oracle`` for brute-force results.
@@ -79,10 +80,6 @@ _LEDGER_FIELDS = (
     "c2", "q_length", "unavoidable_equations",
 )
 _CHI_DERIVED = frozenset({"margin", "margin_stated"})
-# Sweep rows show ``t_o`` and these ledger fields: the first tuple holds those
-# that do not depend on the quotient length, the second those that do.
-_SWEEP_UNSHIFTED_FIELDS = ("codim", "equations", "margin")
-_SWEEP_SHIFTED_FIELDS = ("t_u", "t_s", "c2")
 _COMPARE_FIELDS = ("margin", "margin_stated", "c2")
 
 
@@ -92,20 +89,24 @@ def _pv(value: Dim | int, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
-def _ledger_results(report: KuranishiReport, names: tuple[str, ...], cells: dict) -> dict:
-    """The cells of ``names``, shared through ``cells``, one document's cache:
-    equal cells are one dict. A ``Dim`` is keyed by ``(lower, upper,
-    provenance)`` and an int by ``(value, provenance)``, so the two never
-    share a cell."""
+class _Cells(dict):
+    """One document's result cells, so that equal cells are one dict: keyed by
+    ``(lower, upper, provenance)`` for a ``Dim`` kind and ``(value, provenance)``
+    for an int, so the two never share one. A cell is built at its first lookup."""
+
+    def __missing__(self, key):
+        cell = self[key] = _pv(Dim(*key[:2]) if len(key) == 3 else key[0], key[-1])
+        return cell
+
+
+def _ledger_results(report: KuranishiReport, names: tuple[str, ...], cells: _Cells) -> dict:
+    """The cells of ``names``, shared through ``cells``."""
     results = {}
     for name in names:
         value = getattr(report, name)
         provenance = "chi-derived" if name in _CHI_DERIVED else "closed-form"
         key = (value.lower, value.upper, provenance) if type(value) is Dim else (value, provenance)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = _pv(value, provenance)
-        results[name] = cell
+        results[name] = cells[key]
     return results
 
 
@@ -133,7 +134,7 @@ def _kuranishi_doc(args) -> tuple[dict, int]:
             "l": report.q_length,
         },
         "results": {
-            **_ledger_results(report, _LEDGER_FIELDS, {}),
+            **_ledger_results(report, _LEDGER_FIELDS, _Cells()),
             "moduli_real_dim": _pv(moduli_real_dimension(report.c2, surface), "closed-form"),
         },
         "verdicts": {
@@ -179,7 +180,7 @@ def _compare_doc(args) -> tuple[dict, int]:
         args.c2,
         args.bound,
     )
-    cells: dict = {}
+    cells = _Cells()
     rows = [
         {
             "m": m,
@@ -353,44 +354,40 @@ def parse_sweep_config(text: str) -> dict:
 def _sweep_doc(config: dict) -> tuple[dict, int]:
     """One row per grid point ``(m, n, l)``, sorted: every range ascends, so
     the nested loops already visit the points in lexicographic order. The
-    split ledger is computed once per ``(m, n)`` and taken to each length
-    ``l``. Its entries and status that do not depend on ``l`` are built once
-    per ``(m, n)``, and ``t_o``, which depends only on ``l`` and the genera,
-    once per ``l``; every other cell comes from one cache for the document,
-    so rows share equal cells."""
+    split ledger is computed once per ``(m, n)``, with the cells and status
+    that do not depend on ``l``; at each ``l`` the rest of the row comes from
+    the ledger's integer length rule (:meth:`KuranishiReport.length_rule`),
+    not from a report at that length. Every cell comes from one cache for the
+    document, so rows share equal cells and a ``Dim`` is built only for a
+    cell new to the document."""
     surface = ProductSurface(config["g1"], config["g2"])
     w = Polarization(config["alpha"], config["beta"])
-    t_o_by_length: dict[int, dict] = {}
-    cells: dict = {}
+    lengths = config["l_range"]
+    cells = _Cells()
     rows = []
     any_not_established = False
     for m in config["m_range"]:
         for n in config["n_range"]:
-            split = None
-            if not is_destabilizing((m, n), w):
-                skipped = "not-destabilizing"
-            elif m < 1:
-                skipped = "outside-validity: needs m >= 1"
-            else:
-                split = component_report(surface, m, n, w)
-                unshifted = _ledger_results(split, _SWEEP_UNSHIFTED_FIELDS, cells)
-                if split.margin_established:
-                    status = "ok"
-                else:
-                    status = "not-established"
-                    any_not_established = True
-            for l in config["l_range"]:
-                if split is None:
-                    rows.append({"m": m, "n": n, "l": l, "status": skipped})
-                    continue
-                report = split.at_length(l)
-                t_o = t_o_by_length.get(l)
-                if t_o is None:
-                    t_o = t_o_by_length[l] = _pv(report.t_o, "closed-form")
+            skipped = ("not-destabilizing" if not is_destabilizing((m, n), w)
+                       else "outside-validity: needs m >= 1" if m < 1 else None)
+            if skipped:
+                rows += [{"m": m, "n": n, "l": l, "status": skipped} for l in lengths]
+                continue
+            split = component_report(surface, m, n, w)
+            codim, equations, margin = _ledger_results(
+                split, ("codim", "equations", "margin"), cells).values()
+            status = "ok" if split.margin_established else "not-established"
+            any_not_established = any_not_established or status != "ok"
+            for l in lengths:
+                t_u_lower, t_u_upper, t_o, t_s_lower, t_s_upper, c2, exceeds = split.length_rule(l)
                 rows.append({
-                    "m": m, "n": n, "l": l, "t_o": t_o, **unshifted,
-                    **_ledger_results(report, _SWEEP_SHIFTED_FIELDS, cells),
-                    "margin_exceeds_c2": report.margin_exceeds_c2,
+                    "m": m, "n": n, "l": l,
+                    "t_u": cells[t_u_lower, t_u_upper, "closed-form"],
+                    "t_o": cells[t_o, t_o, "closed-form"],
+                    "t_s": cells[t_s_lower, t_s_upper, "closed-form"],
+                    "codim": codim, "equations": equations, "margin": margin,
+                    "c2": cells[c2, "closed-form"],
+                    "margin_exceeds_c2": exceeds,
                     "status": status,
                 })
     doc = {
@@ -646,13 +643,18 @@ def render_markdown(doc: dict, out: TextIOBase) -> None:
 
 
 def _has_interval(node) -> bool:
-    """Whether a dict in ``node`` is an interval cell; a dict or list none of
-    whose values is a dict or list is settled without a call per value."""
+    """Whether a dict in ``node`` is an interval cell. A dict or list none of
+    whose values is a dict or list is settled without a call per value, and
+    so is a list of dicts without a ``kind`` key, by their values together."""
     if type(node) is dict:
         if node.get("kind") == "interval":
             return True
         values = node.values()
     elif type(node) is list:
+        if (set(map(type, node)) == {dict}
+                and {dict, list}.isdisjoint(map(type, chain.from_iterable(map(dict.values, node))))
+                and "kind" not in set().union(*node)):
+            return False
         values = node
     else:
         return False

@@ -58,11 +58,13 @@ _PAIRING_ASSUMPTIONS = (
 
 class KuranishiReport(Record):
     """Per-component dimension ledger for one unstable stratum: the inputs
-    and four Kunneth dimensions are stored, every other entry is derived."""
+    and four Kunneth dimensions are stored, every other entry is derived.
+    Those that depend on the quotient length are :meth:`length_rule` at
+    ``q_length``, and a sweep reads that rule at each length of its grid."""
 
     __slots__ = ("g1", "g2", "m", "n", "q_length", "h1_square", "comp_i_target", "codim", "equations")
 
-    # own __init__: the 39,600-row sweep builds 21,960 reports, at half Record.__init__'s cost
+    # own __init__: `report compare` builds two per stratum, at half Record.__init__'s cost
     def __init__(self, g1: int, g2: int, m: int, n: int, q_length: int,
                  h1_square: Dim, comp_i_target: Dim, codim: Dim, equations: Dim):
         object.__setattr__(self, "g1", g1)
@@ -84,21 +86,28 @@ class KuranishiReport(Record):
         return KuranishiReport(self.g1, self.g2, self.m, self.n, l,
                                self.h1_square, self.comp_i_target, self.codim, self.equations)
 
+    def length_rule(self, l: int) -> tuple[int, int, int, int, int, int, bool]:
+        """The entries that depend on the quotient length, at length ``l``:
+        the bounds of ``t_u``, ``t_o``, the bounds of ``t_s``, ``c2`` and
+        ``margin_exceeds_c2``. ``t_u`` is h^1 of the square plus the part of
+        ``l`` that h^2 of the square does not absorb, up to h^1 plus ``l``;
+        ``t_o`` is ``Ext^1(F, F)``, ``2l`` point-supported directions plus
+        ``h^1(O) = g1 + g2``; ``t_s`` is h^1 of the inverse square plus ``l``."""
+        h1, codim, c2 = self.h1_square, self.codim, c2_of_extension((self.m, self.n), l)
+        return (h1.lower + l - min(l, self.comp_i_target.upper), h1.upper + l,
+                2 * l + self.g1 + self.g2, codim.lower + l, codim.upper + l,
+                c2, self.margin > c2)
+
     @property
     def t_u(self) -> Dim:
-        """h^1 of the square, plus the part of the quotient length that h^2
-        of the square does not absorb, up to h^1 plus the full length: at
-        ``l = 0`` it is ``h1_square``."""
-        l, h1 = self.q_length, self.h1_square
-        return Dim(h1.lower + l - min(l, self.comp_i_target.upper), h1.upper + l)
+        return Dim(*self.length_rule(self.q_length)[:2])
 
     # With m >= 1 the first-factor inverse square has no sections, so the
     # Kunneth h^1 and h^2 of the inverse square are nu1 times the second
     # factor's h^0 and h^1: ``codim`` and ``equations``.
     @property
     def t_s(self) -> Dim:
-        """h^1 of the inverse square plus the quotient length."""
-        return self.codim + self.q_length
+        return Dim(*self.length_rule(self.q_length)[3:5])
 
     @property
     def comp_iii_target(self) -> Dim:
@@ -107,8 +116,7 @@ class KuranishiReport(Record):
 
     @property
     def t_o(self) -> Dim:
-        """Ext^1(F, F): ``2l`` point-supported directions plus ``h^1(O) = g1 + g2``."""
-        return Dim.exact(2 * self.q_length + self.g1 + self.g2)
+        return Dim.exact(self.length_rule(self.q_length)[2])
 
     @property
     def comp_ii_target(self) -> Dim:
@@ -140,11 +148,11 @@ class KuranishiReport(Record):
 
     @property
     def c2(self) -> int:
-        return c2_of_extension((self.m, self.n), self.q_length)
+        return self.length_rule(self.q_length)[5]
 
     @property
     def margin_exceeds_c2(self) -> bool:
-        return self.margin > self.c2
+        return self.length_rule(self.q_length)[6]
 
     @property
     def margin_established(self) -> bool:

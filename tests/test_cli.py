@@ -17,6 +17,7 @@ import modulidim
 from modulidim import cli
 from modulidim.cli import (
     _JSON_BATCH,
+    _Cells,
     _MD_BATCH,
     _has_interval,
     _ledger_results,
@@ -27,7 +28,9 @@ from modulidim.cli import (
     render_json,
     render_markdown,
 )
-from modulidim.kuranishi import ComparisonReport, nonfiltrable_report
+from modulidim import kuranishi
+from modulidim.dims import Dim
+from modulidim.kuranishi import ComparisonReport, KuranishiReport, nonfiltrable_report
 from modulidim.oracle import KOSZUL_MAX_LENGTH
 from modulidim.surface import Polarization, ProductSurface
 from modulidim.unstable import CAYLEY_BACHARACH, validate
@@ -605,10 +608,11 @@ beta = 1
         assert checked > 100
 
     def test_rows_equal_the_ledgers_of_their_own_reports(self):
-        # the sweep builds the entries that the shift leaves unchanged once
-        # per (m, n) and t_o once per l; every ledger row must still equal
-        # the ledger of its own nonfiltrable report, and l up to 6 exceeds
-        # h2 of the square, so the shift absorbs part of l on some rows
+        # the sweep builds the entries that do not depend on l once per
+        # (m, n) and the rest from the split ledger's length rule; every
+        # ledger row must still equal the ledger of its own nonfiltrable
+        # report, and l up to 6 exceeds h2 of the square, so the shift
+        # absorbs part of l on some rows
         fields = ("t_u", "t_o", "t_s", "codim", "equations", "margin", "c2")
         w = Polarization(2, 1)
         statuses = set()
@@ -630,7 +634,7 @@ beta = 1
                     report = nonfiltrable_report(surface, row["m"], row["n"], w, row["l"])
                     assert row == {
                         "m": report.m, "n": report.n, "l": report.q_length,
-                        **_ledger_results(report, fields, {}),
+                        **_ledger_results(report, fields, _Cells()),
                         "margin_exceeds_c2": report.margin_exceeds_c2,
                         "status": "ok" if report.margin_established else "not-established",
                     }, (g1, g2, row)
@@ -644,6 +648,28 @@ beta = 1
             "ok", "not-established", "not-destabilizing", "outside-validity: needs m >= 1"
         }
         assert partly_absorbed > 0
+
+    def test_builds_one_report_per_ledger(self, monkeypatch):
+        # each ledger row reads its length-dependent cells from the split
+        # ledger's length rule: no report and at most one c2 per row, and a
+        # Dim only for a cell new to the document
+        counts = {"reports": 0, "c2": 0, "dims": 0}
+
+        def counting(key, original):
+            def counted(*args):
+                counts[key] += 1
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(KuranishiReport, "__init__", counting("reports", KuranishiReport.__init__))
+        monkeypatch.setattr(Dim, "__init__", counting("dims", Dim.__init__))
+        monkeypatch.setattr("modulidim.kuranishi.c2_of_extension",
+                            counting("c2", kuranishi.c2_of_extension))
+        rows = _sweep_document(12, 10)["results"]["rows"]
+        ledger_rows = [row for row in rows if row["status"] == "ok"]
+        assert counts["reports"] == len({(row["m"], row["n"]) for row in ledger_rows}) == 78
+        assert counts["c2"] <= len(ledger_rows) == 858
+        assert counts["dims"] < len(rows) == 1584
 
     def test_negative_length_on_a_ledger_row_exits_one(self, capsys, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -736,14 +762,25 @@ class TestDocumentContract:
             render_markdown(doc, io.StringIO())
             assert doc == before
 
-    def test_require_exact_finds_an_interval_after_many_int_records(self):
-        # records of ints alone are settled without a call per value; the one
-        # interval cell comes after all of them
+    def test_require_exact_finds_an_interval_after_many_int_records(self, monkeypatch):
+        # a list of records of ints alone is settled without a call per record
+        # or value; the one interval cell comes after all of them
         interval = {"kind": "interval", "lower": 0, "upper": 2, "provenance": "closed-form"}
         records = [{"m": i, "n": -i, "l": 2 * i} for i in range(3 * _JSON_BATCH)]
-        assert not _has_interval({"results": {"excluded": records, "bound": 3}})
+        calls = []
+
+        def counted(node):
+            calls.append(node)
+            return _has_interval(node)
+
+        monkeypatch.setattr(cli, "_has_interval", counted)
+        assert not counted({"results": {"excluded": records, "bound": 3}})
+        # the document, its results, the list and the int
+        assert len(calls) == 4
+        monkeypatch.undo()
         assert _has_interval({"results": {"excluded": [*records, {"m": 0, "t_u": interval}]}})
         assert _has_interval({"results": {"excluded": [*records, [1, interval]]}})
+        assert _has_interval({"results": {"excluded": [*records, interval]}})
 
     def test_no_floats_anywhere(self, capsys):
         _, doc, _ = run_json(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modulidim.curves import h0_h1
@@ -17,6 +17,7 @@ from modulidim.surface import (
     Polarization,
     PreconditionError,
     ProductSurface,
+    c2_of_extension,
     is_destabilizing,
     kunneth_h,
 )
@@ -366,6 +367,36 @@ class TestNonfiltrable:
         # h1 of the square plus the length that h2 of the square leaves
         # unabsorbed, up to h1 plus the full length
         assert report.t_u == Dim(h1.lower + l - min(l, h2.upper), h1.upper + l)
+
+    @settings(max_examples=400)
+    @given(
+        st.integers(0, 4), st.integers(0, 4), st.integers(1, 6), st.integers(-6, -1),
+        st.integers(1, 4), st.integers(1, 4), st.integers(0, 12),
+    )
+    # h2 of the square is [0..4] at (1, -1) on genus (2, 1), [2..8] on (4, 1):
+    # lengths inside it, at its upper bound and past it
+    @example(2, 1, 1, -1, 1, 1, 2)
+    @example(2, 1, 1, -1, 1, 1, 4)
+    @example(2, 1, 1, -1, 1, 1, 12)
+    @example(4, 1, 1, -1, 1, 1, 9)
+    def test_length_rule_is_the_report_at_that_length(self, g1, g2, m, n, alpha, beta, l):
+        # the split ledger's length rule at l gives what the report of length
+        # l gives, and both equal the rules written out from the stored square
+        surface, w = ProductSurface(g1, g2), Polarization(alpha, beta)
+        assume(is_destabilizing((m, n), w))
+        split = component_report(surface, m, n, w)
+        report = nonfiltrable_report(surface, m, n, w, l)
+        t_u_lower, t_u_upper, t_o, t_s_lower, t_s_upper, c2, exceeds = split.length_rule(l)
+        assert report.t_u == Dim(t_u_lower, t_u_upper)
+        assert report.t_o == Dim.exact(t_o)
+        assert report.t_s == Dim(t_s_lower, t_s_upper)
+        assert (report.c2, report.margin_exceeds_c2) == (c2, exceeds)
+        h1, h2 = split.h1_square, split.comp_i_target
+        assert report.t_u == Dim(h1.lower + l - min(l, h2.upper), h1.upper + l)
+        assert report.t_o == Dim.exact(2 * l + g1 + g2)
+        assert report.t_s == split.codim + l
+        assert c2 == c2_of_extension((m, n), l)
+        assert exceeds == (split.margin > c2)
 
 
 class TestComparisonReport:

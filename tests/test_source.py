@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -174,16 +175,15 @@ def test_cli_import_loads_every_package_module(imported_by_cli):
     assert loaded == expected
 
 
-# Runs in a ``python -O`` or ``-OO`` child from inside ``tests/golden``: every golden
-# command through ``cli.main``, printing the name of each whose stdout or exit
-# code differs from its golden file, then the number of commands run. It does
-# not import ``test_golden``, whose ``pytest`` import would triple its time.
-_GOLDEN_UNDER_O = """
+# Runs in a child from inside ``tests/golden``: every golden command through
+# ``cli.main``, printing the name of each whose stdout or exit code differs from
+# its golden file, then the number of commands run, the child's optimization
+# level and its Python version. It does not import ``test_golden``, whose
+# ``pytest`` import would triple its time.
+_GOLDEN_REPLAY = """
 import contextlib, io, json, sys
 from pathlib import Path
 from modulidim.cli import main
-if sys.flags.optimize < 1:
-    sys.exit("-O is not in effect")
 commands = json.loads(Path("commands.json").read_text(encoding="utf-8"))
 for command in commands:
     out = io.StringIO()
@@ -192,20 +192,53 @@ for command in commands:
     expected = Path(command["name"] + ".out").read_bytes()
     if code != command["exit"] or out.getvalue().encode("utf-8") != expected:
         print(command["name"])
-print(len(commands))
+print(len(commands), sys.flags.optimize, "%d.%d" % sys.version_info[:2])
 """
+
+
+def _replay_golden(python: list[str], env: dict) -> list[str]:
+    """The words ``_GOLDEN_REPLAY`` prints when run by ``python``."""
+    env = dict(env, PYTHONPATH=str(Path(modulidim.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [*python, "-c", _GOLDEN_REPLAY],
+        cwd=TESTS / "golden", env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def _golden_count() -> str:
+    return str(len(json.loads((TESTS / "golden" / "commands.json").read_text(encoding="utf-8"))))
 
 
 @pytest.mark.parametrize("flag", ["-O", "-OO"])
 def test_golden_output_under_python_O(flag):
     # -O strips asserts and sets __debug__ to False, and -OO also strips
     # docstrings; no document or exit code may depend on any of these
-    golden = TESTS / "golden"
-    commands = json.loads((golden / "commands.json").read_text(encoding="utf-8"))
-    env = dict(os.environ, PYTHONPATH=str(Path(modulidim.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, flag, "-c", _GOLDEN_UNDER_O],
-        cwd=golden, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(len(commands))]
+    version = "%d.%d" % sys.version_info[:2]
+    assert _replay_golden([sys.executable, flag], os.environ) == [
+        _golden_count(), str(len(flag) - 1), version
+    ]
+
+
+def _oldest_python() -> tuple[str, dict] | None:
+    """A ``python3.10`` on the path and the environment it runs 3.10 in, or
+    ``None``. A pyenv shim runs it only where ``PYENV_VERSION`` names 3.10."""
+    python = shutil.which("python3.10")
+    probe = "import sys; sys.exit(sys.version_info[:2] != (3, 10))"
+    for env in (os.environ, dict(os.environ, PYENV_VERSION="3.10")):
+        if python and subprocess.run([python, "-c", probe], env=env,
+                                     capture_output=True, timeout=60).returncode == 0:
+            return python, env
+    return None
+
+
+def test_golden_output_under_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax or a library call that 3.10 lacks, and 3.10 must give every
+    # golden document byte for byte
+    found = _oldest_python()
+    if found is None:
+        pytest.skip("no python3.10 runs here")
+    python, env = found
+    assert _replay_golden([python], env) == [_golden_count(), "0", "3.10"]
