@@ -8,10 +8,9 @@ The document is built in full before its first byte is written; the JSON text
 then goes to stdout in bounded batches and is never held whole, and so does the
 markdown of a row table. Equal cells of one document are one dict, and the
 writer keeps one text per distinct shared cell for the render, so each is
-formatted once. A sweep builds each ledger row from its split ledger's integer
-length rule, and a cell only when it is new. A list of records that share one
-key set and hold only integers, such as ``report compare``'s ``excluded`` list,
-is written a block of ``_JSON_BATCH`` records at a time, each by one template.
+formatted once. Sweep rows come from each split ledger's integer length rule.
+A list of integer-only records with one key set, such as ``report compare``'s
+``excluded`` list, is written ``_JSON_BATCH`` records at a time, by one template.
 Numeric result fields carry a provenance marker: ``closed-form`` for rule
 outputs, ``chi-derived`` for quantities exact only through an Euler
 characteristic, ``oracle`` for brute-force results.
@@ -354,15 +353,12 @@ def parse_sweep_config(text: str) -> dict:
 def _sweep_doc(config: dict) -> tuple[dict, int]:
     """One row per grid point ``(m, n, l)``, sorted: every range ascends, so
     the nested loops already visit the points in lexicographic order. The
-    split ledger is computed once per ``(m, n)``, with the cells and status
-    that do not depend on ``l``; at each ``l`` the rest of the row comes from
-    the ledger's integer length rule (:meth:`KuranishiReport.length_rule`),
-    not from a report at that length. Every cell comes from one cache for the
-    document, so rows share equal cells and a ``Dim`` is built only for a
-    cell new to the document."""
+    split ledger and its cells that do not depend on ``l`` are computed once
+    per ``(m, n)``; the rest of each row is the ledger's integer length rule
+    at ``l``, with no report at that length. All cells come from one cache
+    for the document, which builds a cell and its ``Dim`` only when new."""
     surface = ProductSurface(config["g1"], config["g2"])
     w = Polarization(config["alpha"], config["beta"])
-    lengths = config["l_range"]
     cells = _Cells()
     rows = []
     any_not_established = False
@@ -371,15 +367,15 @@ def _sweep_doc(config: dict) -> tuple[dict, int]:
             skipped = ("not-destabilizing" if not is_destabilizing((m, n), w)
                        else "outside-validity: needs m >= 1" if m < 1 else None)
             if skipped:
-                rows += [{"m": m, "n": n, "l": l, "status": skipped} for l in lengths]
+                rows += [{"m": m, "n": n, "l": l, "status": skipped} for l in config["l_range"]]
                 continue
             split = component_report(surface, m, n, w)
-            codim, equations, margin = _ledger_results(
-                split, ("codim", "equations", "margin"), cells).values()
+            codim, equations, margin = _ledger_results(split, ("codim", "equations", "margin"), cells).values()
             status = "ok" if split.margin_established else "not-established"
             any_not_established = any_not_established or status != "ok"
-            for l in lengths:
-                t_u_lower, t_u_upper, t_o, t_s_lower, t_s_upper, c2, exceeds = split.length_rule(l)
+            for l in config["l_range"]:
+                t_u_lower, t_u_upper, t_o, t_s_lower, t_s_upper = split.length_bounds(l)
+                c2, exceeds = split.length_c2(l)
                 rows.append({
                     "m": m, "n": n, "l": l,
                     "t_u": cells[t_u_lower, t_u_upper, "closed-form"],
@@ -643,18 +639,13 @@ def render_markdown(doc: dict, out: TextIOBase) -> None:
 
 
 def _has_interval(node) -> bool:
-    """Whether a dict in ``node`` is an interval cell. A dict or list none of
-    whose values is a dict or list is settled without a call per value, and
-    so is a list of dicts without a ``kind`` key, by their values together."""
+    """Whether a dict in ``node`` is an interval cell; a dict or list none of
+    whose values is a dict or list is settled without a call per value."""
     if type(node) is dict:
         if node.get("kind") == "interval":
             return True
         values = node.values()
     elif type(node) is list:
-        if (set(map(type, node)) == {dict}
-                and {dict, list}.isdisjoint(map(type, chain.from_iterable(map(dict.values, node))))
-                and "kind" not in set().union(*node)):
-            return False
         values = node
     else:
         return False

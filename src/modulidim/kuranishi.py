@@ -59,8 +59,8 @@ _PAIRING_ASSUMPTIONS = (
 class KuranishiReport(Record):
     """Per-component dimension ledger for one unstable stratum: the inputs
     and four Kunneth dimensions are stored, every other entry is derived.
-    Those that depend on the quotient length are :meth:`length_rule` at
-    ``q_length``, and a sweep reads that rule at each length of its grid."""
+    Those that depend on the quotient length read :meth:`length_bounds` and
+    :meth:`length_c2` at ``q_length``, which a sweep reads at any length."""
 
     __slots__ = ("g1", "g2", "m", "n", "q_length", "h1_square", "comp_i_target", "codim", "equations")
 
@@ -86,28 +86,33 @@ class KuranishiReport(Record):
         return KuranishiReport(self.g1, self.g2, self.m, self.n, l,
                                self.h1_square, self.comp_i_target, self.codim, self.equations)
 
-    def length_rule(self, l: int) -> tuple[int, int, int, int, int, int, bool]:
-        """The entries that depend on the quotient length, at length ``l``:
-        the bounds of ``t_u``, ``t_o``, the bounds of ``t_s``, ``c2`` and
-        ``margin_exceeds_c2``. ``t_u`` is h^1 of the square plus the part of
-        ``l`` that h^2 of the square does not absorb, up to h^1 plus ``l``;
-        ``t_o`` is ``Ext^1(F, F)``, ``2l`` point-supported directions plus
-        ``h^1(O) = g1 + g2``; ``t_s`` is h^1 of the inverse square plus ``l``."""
-        h1, codim, c2 = self.h1_square, self.codim, c2_of_extension((self.m, self.n), l)
+    def length_bounds(self, l: int) -> tuple[int, int, int, int, int]:
+        """The integer bounds of ``t_u``, ``t_o`` and ``t_s`` at quotient length
+        ``l``. ``t_u`` is h^1 of the square plus the part of ``l`` that h^2 of
+        the square does not absorb, up to h^1 plus ``l``; ``t_o`` is ``Ext^1(F,
+        F)``, ``2l`` point-supported directions plus ``h^1(O) = g1 + g2``; and
+        ``t_s`` is h^1 of the inverse square plus ``l``."""
+        h1, codim = self.h1_square, self.codim
         return (h1.lower + l - min(l, self.comp_i_target.upper), h1.upper + l,
-                2 * l + self.g1 + self.g2, codim.lower + l, codim.upper + l,
-                c2, self.margin > c2)
+                2 * l + self.g1 + self.g2, codim.lower + l, codim.upper + l)
+
+    def length_c2(self, l: int) -> tuple[int, bool]:
+        """``c2`` at quotient length ``l``, and whether the margin exceeds it."""
+        c2 = c2_of_extension((self.m, self.n), l)
+        return c2, self.margin > c2
 
     @property
     def t_u(self) -> Dim:
-        return Dim(*self.length_rule(self.q_length)[:2])
+        lower, upper, _, _, _ = self.length_bounds(self.q_length)
+        return Dim(lower, upper)
 
     # With m >= 1 the first-factor inverse square has no sections, so the
     # Kunneth h^1 and h^2 of the inverse square are nu1 times the second
     # factor's h^0 and h^1: ``codim`` and ``equations``.
     @property
     def t_s(self) -> Dim:
-        return Dim(*self.length_rule(self.q_length)[3:5])
+        _, _, _, lower, upper = self.length_bounds(self.q_length)
+        return Dim(lower, upper)
 
     @property
     def comp_iii_target(self) -> Dim:
@@ -116,7 +121,8 @@ class KuranishiReport(Record):
 
     @property
     def t_o(self) -> Dim:
-        return Dim.exact(self.length_rule(self.q_length)[2])
+        _, _, t_o, _, _ = self.length_bounds(self.q_length)
+        return Dim.exact(t_o)
 
     @property
     def comp_ii_target(self) -> Dim:
@@ -148,11 +154,13 @@ class KuranishiReport(Record):
 
     @property
     def c2(self) -> int:
-        return self.length_rule(self.q_length)[5]
+        c2, _ = self.length_c2(self.q_length)
+        return c2
 
     @property
     def margin_exceeds_c2(self) -> bool:
-        return self.length_rule(self.q_length)[6]
+        _, exceeds = self.length_c2(self.q_length)
+        return exceeds
 
     @property
     def margin_established(self) -> bool:

@@ -386,7 +386,8 @@ class TestNonfiltrable:
         assume(is_destabilizing((m, n), w))
         split = component_report(surface, m, n, w)
         report = nonfiltrable_report(surface, m, n, w, l)
-        t_u_lower, t_u_upper, t_o, t_s_lower, t_s_upper, c2, exceeds = split.length_rule(l)
+        t_u_lower, t_u_upper, t_o, t_s_lower, t_s_upper = split.length_bounds(l)
+        c2, exceeds = split.length_c2(l)
         assert report.t_u == Dim(t_u_lower, t_u_upper)
         assert report.t_o == Dim.exact(t_o)
         assert report.t_s == Dim(t_s_lower, t_s_upper)
